@@ -16,10 +16,9 @@
 //!   before epoch 0, and the serve registry refuses to hot-swap a candidate
 //!   whose probe tape carries one.
 //! * [`plan`] — a **compiled-plan validator**: checks the structural
-//!   invariants the plan optimizer's passes (constant folding, transpose
-//!   elision, chain fusion, probe caching) must preserve, and re-prices the
-//!   replay's FLOPs per *fused* op so the saving over the eager tape is
-//!   quantified. Findings use the same [`diag::codes`] vocabulary
+//!   invariants the plan's kernel choices (GEMM routing, chain fusion)
+//!   must preserve, and re-prices the replay's FLOPs and buffers per
+//!   *fused* op so the saving over the eager tape is quantified. Findings use the same [`diag::codes`] vocabulary
 //!   (`A008`/`A009`).
 //! * [`lint`] — **`stgnn-lint`**, a hand-rolled lexer-based source checker
 //!   (no crates.io dependencies, like `stgnn_tensor::par`'s hand-rolled

@@ -6,16 +6,13 @@
 //! bitwise parity suite relies on:
 //!
 //! * Effective parent edges respect tape order (no forward reference).
-//! * Absorbed nodes (erased chain interiors, fused leads, elided
-//!   transposes) have **zero** effective readers: their value slots are
-//!   stale, so any node still listing one as a parent would read garbage.
-//!   (Folded nodes are exempt — their frozen values are exactly the point.)
-//! * A GEMM node is a matmul whose operand shapes, after applying the `ta`/
-//!   `tb` layout flags, contract correctly and produce the recorded output
-//!   shape.
+//! * Absorbed nodes (erased chain interiors, fused leads) have **zero**
+//!   effective readers: their value slots are stale, so any node still
+//!   listing one as a parent would read garbage.
+//! * A GEMM node is a matmul whose operand shapes contract correctly and
+//!   produce the recorded output shape.
 //! * A fused chain's output shape matches its lead source's shape (every
-//!   stage is shape-preserving), and an elided transpose really is a
-//!   transpose.
+//!   stage is shape-preserving).
 //! * The [`PassReport`] tallies agree with the node roles actually
 //!   annotated — a drifted counter means a pass rewrote something it did
 //!   not account for.
@@ -47,32 +44,19 @@ fn summary_flops(s: &PlanSummary, id: usize) -> u64 {
         | PlanOpKind::Input
         | PlanOpKind::Derived
         | PlanOpKind::Param
-        | PlanOpKind::Folded
         | PlanOpKind::Erased
-        | PlanOpKind::FusedLead
-        | PlanOpKind::ElidedTranspose => 0,
+        | PlanOpKind::FusedLead => 0,
         PlanOpKind::FusedOut { .. } => out_len * node.fused_cost_per_elem,
-        PlanOpKind::Gemm { ta, .. } => {
-            let Some(&ua) = node.parents.first() else {
+        PlanOpKind::Gemm => {
+            let Some(&a) = node.parents.first() else {
                 return 0;
             };
-            let (r, c) = mat(ua);
-            let k = if ta { r } else { c };
+            let (_, k) = mat(a);
             let d = node.shape.dims();
             2 * d.first().copied().unwrap_or(1) as u64 * k * d.get(1).copied().unwrap_or(1) as u64
         }
         PlanOpKind::Eager => match node.op {
             "leaf" | "param" => 0,
-            "matmul" => {
-                let Some(&a) = node.parents.first() else {
-                    return 0;
-                };
-                let (_, k) = mat(a);
-                let d = node.shape.dims();
-                2 * d.first().copied().unwrap_or(1) as u64
-                    * k
-                    * d.get(1).copied().unwrap_or(1) as u64
-            }
             "elu" | "sigmoid" | "tanh" | "exp" | "sqrt" | "softmax_rows" => 8 * out_len,
             "sum_all" | "mean_all" | "sum_cols" | "sum_rows" => node
                 .parents
@@ -115,45 +99,28 @@ pub fn validate_plan(summary: &PlanSummary) -> Report {
                 );
                 continue;
             }
-            // Leads/erased/elided nodes keep their traced parent lists for
+            // Leads/erased nodes keep their traced parent lists for
             // deposit-order bookkeeping, but replay never reads through
             // them — only live kinds count as readers.
-            if !matches!(
-                node.kind,
-                PlanOpKind::Erased | PlanOpKind::FusedLead | PlanOpKind::ElidedTranspose
-            ) {
+            if !matches!(node.kind, PlanOpKind::Erased | PlanOpKind::FusedLead) {
                 read[p] += 1;
             }
         }
     }
 
-    let (mut folded, mut gemms, mut chains, mut fused_ops, mut elided, mut probes) =
-        (0, 0, 0, 0, 0, 0);
+    let (mut gemms, mut chains, mut fused_ops) = (0, 0, 0);
     for (id, node) in summary.nodes.iter().enumerate() {
         match node.kind {
-            PlanOpKind::Folded => folded += 1,
-            PlanOpKind::Erased | PlanOpKind::FusedLead | PlanOpKind::ElidedTranspose => {
-                if read[id] > 0 {
-                    deny(
-                        &mut report,
-                        id,
-                        format!(
-                            "{:?} node still has {} effective reader(s): its value slot is \
-                             stale on replay",
-                            node.kind, read[id]
-                        ),
-                    );
-                }
-                if matches!(node.kind, PlanOpKind::ElidedTranspose) {
-                    elided += 1;
-                    if node.op != "transpose" {
-                        deny(
-                            &mut report,
-                            id,
-                            "only a transpose can be elided into a GEMM layout flag".into(),
-                        );
-                    }
-                }
+            PlanOpKind::Erased | PlanOpKind::FusedLead if read[id] > 0 => {
+                deny(
+                    &mut report,
+                    id,
+                    format!(
+                        "{:?} node still has {} effective reader(s): its value slot is \
+                         stale on replay",
+                        node.kind, read[id]
+                    ),
+                );
             }
             PlanOpKind::FusedOut { stages } => {
                 chains += 1;
@@ -189,15 +156,8 @@ pub fn validate_plan(summary: &PlanSummary) -> Report {
                     );
                 }
             }
-            PlanOpKind::Gemm {
-                ta,
-                tb,
-                probe_cached,
-            } => {
+            PlanOpKind::Gemm => {
                 gemms += 1;
-                if probe_cached {
-                    probes += 1;
-                }
                 if node.op != "matmul" {
                     deny(
                         &mut report,
@@ -206,7 +166,7 @@ pub fn validate_plan(summary: &PlanSummary) -> Report {
                     );
                     continue;
                 }
-                let (Some(&ua), Some(&ub)) = (node.parents.first(), node.parents.get(1)) else {
+                let (Some(&a), Some(&b)) = (node.parents.first(), node.parents.get(1)) else {
                     deny(&mut report, id, "GEMM node lost an operand".into());
                     continue;
                 };
@@ -217,10 +177,8 @@ pub fn validate_plan(summary: &PlanSummary) -> Report {
                         d.get(1).copied().unwrap_or(1),
                     )
                 };
-                let (ar, ac) = dims(ua);
-                let (br, bc) = dims(ub);
-                let (m, k) = if ta { (ac, ar) } else { (ar, ac) };
-                let (kb, nn) = if tb { (bc, br) } else { (br, bc) };
+                let (m, k) = dims(a);
+                let (kb, nn) = dims(b);
                 let od = summary.nodes[id].shape.dims();
                 let (om, on) = (
                     od.first().copied().unwrap_or(1),
@@ -231,9 +189,9 @@ pub fn validate_plan(summary: &PlanSummary) -> Report {
                         &mut report,
                         id,
                         format!(
-                            "GEMM layout (ta={ta}, tb={tb}) maps operands {}·{} to {m}×{nn} \
-                             (contraction {k} vs {kb}), but the tape recorded {om}×{on}",
-                            summary.nodes[ua].shape, summary.nodes[ub].shape
+                            "GEMM maps operands {}·{} to {m}×{nn} (contraction {k} vs {kb}), \
+                             but the tape recorded {om}×{on}",
+                            summary.nodes[a].shape, summary.nodes[b].shape
                         ),
                     );
                 }
@@ -247,16 +205,9 @@ pub fn validate_plan(summary: &PlanSummary) -> Report {
 
     // The pass report must agree with the roles actually annotated.
     let checks = [
-        ("folded", folded, summary.report.folded),
-        (
-            "elided transposes",
-            elided,
-            summary.report.elided_transposes,
-        ),
         ("gemm nodes", gemms, summary.report.gemm_nodes),
         ("fused chains", chains, summary.report.fused_chains),
         ("fused ops", fused_ops, summary.report.fused_ops),
-        ("cached probes", probes, summary.report.probe_cached),
     ];
     for (what, counted, reported) in checks {
         if counted != reported {
@@ -280,14 +231,14 @@ pub fn validate_plan(summary: &PlanSummary) -> Report {
         let flops = summary_flops(summary, id);
         // Absorbed nodes also hold no live forward buffer.
         let bytes = match node.kind {
-            PlanOpKind::Erased | PlanOpKind::FusedLead | PlanOpKind::ElidedTranspose => 0,
+            PlanOpKind::Erased | PlanOpKind::FusedLead => 0,
             _ => (node.shape.len() * std::mem::size_of::<f32>()) as u64,
         };
         report.flops += flops;
         report.tape_bytes += bytes;
         let name = match node.kind {
             PlanOpKind::FusedOut { .. } => "fused_chain",
-            PlanOpKind::Gemm { .. } => "gemm",
+            PlanOpKind::Gemm => "gemm",
             _ => node.op,
         };
         match by_op.iter_mut().find(|c| c.op == name) {
@@ -316,20 +267,19 @@ mod tests {
     use stgnn_tensor::plan::{LeafBinding, Plan, PlanOptions, PlanSpec};
     use stgnn_tensor::{Shape, Tensor};
 
-    /// Compiles a little training tape exercising every pass: a transpose
-    /// feeding a matmul (GEMM + elision), a sigmoid→tanh chain off an add
-    /// (fusion), and a constant subtree (folding; its product with a
-    /// derived-style constant lhs also probes).
+    /// Compiles a little training tape exercising every kernel choice: a
+    /// matmul (GEMM), a sigmoid→tanh chain off an add (fusion) and a
+    /// scalar-map chain off a constant leaf (fusion again).
     fn sample_plan(opts: PlanOptions) -> Plan {
         let g = Graph::new();
         let mut pset = stgnn_tensor::autograd::ParamSet::new();
         let w = pset.add("w", Tensor::filled_with(Shape::matrix(6, 6), || 0.3));
         let x = g.leaf(Tensor::filled_with(Shape::matrix(6, 6), || 0.7));
         let c = g.leaf(Tensor::ones(Shape::matrix(6, 6)));
-        let folded = c.mul_scalar(2.0).add_scalar(-1.0); // constant subtree
+        let shifted = c.mul_scalar(2.0).add_scalar(-1.0); // map-lead fused chain
         let wv = g.param(&w);
-        let h = x.matmul(&wv.transpose()); // GEMM with tb elision
-        let act = h.add(&folded).sigmoid().tanh(); // zip-lead fused chain
+        let h = x.matmul(&wv.transpose()); // GEMM
+        let act = h.add(&shifted).sigmoid().tanh(); // zip-lead fused chain
         let loss = act.square().mean_all();
         Plan::compile_with(
             &g.snapshot(),
@@ -349,9 +299,7 @@ mod tests {
         let plan = sample_plan(PlanOptions::default());
         let summary = plan.summary();
         assert!(summary.report.gemm_nodes >= 1, "{}", summary.report);
-        assert!(summary.report.elided_transposes >= 1, "{}", summary.report);
-        assert!(summary.report.fused_chains >= 1, "{}", summary.report);
-        assert!(summary.report.folded >= 2, "{}", summary.report);
+        assert!(summary.report.fused_chains >= 2, "{}", summary.report);
         let report = validate_plan(&summary);
         assert!(report.is_clean(), "{}", report.render());
     }
@@ -363,17 +311,19 @@ mod tests {
         assert!(report.is_clean(), "{}", report.render());
     }
 
+    /// Fusion runs the same per-element arithmetic in one sweep, so the
+    /// priced FLOPs stay put while the absorbed nodes' buffers disappear.
     #[test]
-    fn optimizer_reduces_priced_flops_and_bytes() {
+    fn fusion_keeps_priced_flops_and_drops_absorbed_bytes() {
         let eager = validate_plan(&sample_plan(PlanOptions::none()).summary());
         let opt = validate_plan(&sample_plan(PlanOptions::default()).summary());
+        assert_eq!(opt.flops, eager.flops);
         assert!(
-            opt.flops < eager.flops,
-            "optimized {} FLOPs vs eager {}",
-            opt.flops,
-            eager.flops
+            opt.tape_bytes < eager.tape_bytes,
+            "optimized {} bytes vs eager {}",
+            opt.tape_bytes,
+            eager.tape_bytes
         );
-        assert!(opt.tape_bytes < eager.tape_bytes);
     }
 
     #[test]
@@ -396,21 +346,21 @@ mod tests {
             report.render()
         );
 
-        // Point a live node's parent at an elided transpose — a stale read.
+        // Point a live node's parent at a fused lead — a stale read.
         let mut summary = plan.summary();
-        let elided = summary
+        let lead = summary
             .nodes
             .iter()
-            .position(|n| matches!(n.kind, PlanOpKind::ElidedTranspose))
-            .expect("sample plan elides a transpose");
+            .position(|n| matches!(n.kind, PlanOpKind::FusedLead))
+            .expect("sample plan fuses a chain");
         let victim = summary
             .nodes
             .iter()
             .position(|n| matches!(n.kind, PlanOpKind::Eager) && !n.parents.is_empty())
             .expect("some eager node");
-        let (a, b) = (victim.max(elided), victim.min(elided));
+        let (a, b) = (victim.max(lead), victim.min(lead));
         if a == victim {
-            summary.nodes[victim].parents[0] = elided;
+            summary.nodes[victim].parents[0] = lead;
             let report = validate_plan(&summary);
             assert!(
                 report.find(codes::PLAN_STRUCTURE).is_some(),

@@ -88,23 +88,9 @@ fn jnum(v: f64, precision: usize) -> String {
 }
 
 /// The ablation ladder: no passes, each pass alone, every pass together.
-fn ablation_variants() -> [(&'static str, PlanOptions); 7] {
+fn ablation_variants() -> [(&'static str, PlanOptions); 4] {
     [
         ("none", PlanOptions::none()),
-        (
-            "fold_constants",
-            PlanOptions {
-                fold_constants: true,
-                ..PlanOptions::none()
-            },
-        ),
-        (
-            "elide_transposes",
-            PlanOptions {
-                elide_transposes: true,
-                ..PlanOptions::none()
-            },
-        ),
         (
             "fuse",
             PlanOptions {
@@ -116,13 +102,6 @@ fn ablation_variants() -> [(&'static str, PlanOptions); 7] {
             "in_place",
             PlanOptions {
                 in_place: true,
-                ..PlanOptions::none()
-            },
-        ),
-        (
-            "cache_probes",
-            PlanOptions {
-                cache_probes: true,
                 ..PlanOptions::none()
             },
         ),

@@ -99,14 +99,6 @@ impl TrainingPlan {
     pub fn pass_report(&self) -> PassReport {
         self.plan.pass_report()
     }
-
-    /// For every probe-cached matmul in the plan: `(checked, agreeing)`
-    /// between the executor's cached density verdict and a fresh probe of
-    /// the current slot values. The parity suite asserts these never
-    /// diverge on real replay data.
-    pub fn cached_probe_agreement(&self, exec: &PlanExec) -> (usize, usize) {
-        probe_agreement(&self.plan, exec)
-    }
 }
 
 /// A compiled evaluation-mode forward pass to the demand/supply heads.
@@ -126,24 +118,6 @@ impl InferencePlan {
     pub fn pass_report(&self) -> PassReport {
         self.plan.pass_report()
     }
-
-    /// See [`TrainingPlan::cached_probe_agreement`].
-    pub fn cached_probe_agreement(&self, exec: &PlanExec) -> (usize, usize) {
-        probe_agreement(&self.plan, exec)
-    }
-}
-
-fn probe_agreement(plan: &Plan, exec: &PlanExec) -> (usize, usize) {
-    let (mut checked, mut agree) = (0, 0);
-    for id in plan.cached_probe_nodes() {
-        if let (Some(cached), Some(fresh)) = (exec.probe_verdict(id), plan.fresh_probe(exec, id)) {
-            checked += 1;
-            if cached == fresh {
-                agree += 1;
-            }
-        }
-    }
-    (checked, agree)
 }
 
 fn plan_err(e: stgnn_tensor::Error) -> Error {
@@ -225,7 +199,7 @@ impl StgnnDjd {
     }
 
     /// [`Self::compile_training_plan`] with explicit optimizer passes —
-    /// each pass in [`PlanOptions`] is individually toggleable, and every
+    /// fusion and in-place rewrites are individually toggleable, and every
     /// combination replays bit-identically to eager (the parity suite
     /// asserts this per pass).
     pub fn compile_training_plan_with(

@@ -48,8 +48,8 @@ pub struct TrainReport {
     /// the FCG max aggregator or the "No FC" ablation).
     pub used_compiled_plan: bool,
     /// The plan optimizer's pass report for the compiled training tape
-    /// (folds, elided transposes, fused chains, in-place rewrites, cached
-    /// probes), rendered; `None` when training stayed eager.
+    /// (GEMM nodes, fused chains, in-place rewrites), rendered; `None` when
+    /// training stayed eager.
     pub plan_passes: Option<String>,
     /// Tensor-pool misses per optimizer step over the final epoch's batch
     /// loop — fresh heap allocations the buffer pool could not serve. The

@@ -6,7 +6,7 @@
 //! dropout RNG streams, so two fresh models with the same config are
 //! exact twins; one runs eager, the other through the plan.
 
-use stgnn_core::config::{FcgAggregator, StgnnConfig};
+use stgnn_core::config::{FcgAggregator, PcgAggregator, StgnnConfig};
 use stgnn_core::model::{ModelInputs, StgnnDjd};
 use stgnn_core::Trainer;
 use stgnn_data::dataset::{BikeDataset, DatasetConfig, Split};
@@ -254,33 +254,14 @@ fn plan_run(data: &BikeDataset, config: &StgnnConfig, opts: PlanOptions) -> (f64
 
 /// Every optimizer pass — individually and all together — must leave the
 /// full model's training batch bit-identical to eager: the radicand and
-/// every parameter gradient, at 1 *and* 4 kernel threads. This is the
-/// contract that lets the optimizer default to on.
+/// every parameter gradient, at 1 *and* 4 kernel threads, for the default
+/// configuration and every plan-compiling ablation. This is the contract
+/// that lets the optimizer default to on.
 #[test]
 fn every_optimizer_pass_is_bitwise_parity_preserving() {
     let data = dataset(306);
-    let mut config = StgnnConfig::test_tiny(6, 2);
-    config.dropout = 0.2; // dropout between layers exercises the RNG contract
-    config.fcg_layers = 2;
-    config.pcg_layers = 2;
-    let (radicand_e, grads_e) = eager_reference(&data, &config);
-
-    let variants: [(&str, PlanOptions); 7] = [
+    let variants: [(&str, PlanOptions); 4] = [
         ("none", PlanOptions::none()),
-        (
-            "fold_constants",
-            PlanOptions {
-                fold_constants: true,
-                ..PlanOptions::none()
-            },
-        ),
-        (
-            "elide_transposes",
-            PlanOptions {
-                elide_transposes: true,
-                ..PlanOptions::none()
-            },
-        ),
         (
             "fuse",
             PlanOptions {
@@ -295,65 +276,117 @@ fn every_optimizer_pass_is_bitwise_parity_preserving() {
                 ..PlanOptions::none()
             },
         ),
-        (
-            "cache_probes",
-            PlanOptions {
-                cache_probes: true,
-                ..PlanOptions::none()
-            },
-        ),
         ("all", PlanOptions::all()),
     ];
-    for threads in [1usize, 4] {
-        stgnn_tensor::par::set_thread_override(Some(threads));
-        for (name, opts) in &variants {
-            let (radicand_p, grads_p) = plan_run(&data, &config, *opts);
-            assert_eq!(
-                radicand_e.to_bits(),
-                radicand_p.to_bits(),
-                "radicand drifted under pass `{name}` at {threads} thread(s)"
-            );
-            assert_eq!(grads_e.len(), grads_p.len());
-            for (i, (ge, gp)) in grads_e.iter().zip(&grads_p).enumerate() {
-                assert_bits_eq(
-                    ge,
-                    gp,
-                    &format!("param {i} grad under pass `{name}` at {threads} thread(s)"),
+    let configs = std::iter::once(("default", parity_config())).chain(plan_compiling_ablations());
+    for (config_name, config) in configs {
+        let (radicand_e, grads_e) = eager_reference(&data, &config);
+        for threads in [1usize, 4] {
+            let _threads = stgnn_tensor::par::scoped_threads(threads);
+            for (name, opts) in &variants {
+                let at = format!("{config_name}, pass `{name}`, {threads} thread(s)");
+                let (radicand_p, grads_p) = plan_run(&data, &config, *opts);
+                assert_eq!(
+                    radicand_e.to_bits(),
+                    radicand_p.to_bits(),
+                    "radicand drifted: {at}"
                 );
+                assert_eq!(grads_e.len(), grads_p.len());
+                for (i, (ge, gp)) in grads_e.iter().zip(&grads_p).enumerate() {
+                    assert_bits_eq(ge, gp, &format!("param {i} grad: {at}"));
+                }
             }
         }
     }
-    stgnn_tensor::par::set_thread_override(None);
 }
 
-/// Probe-cached matmuls (constant / derived / folded lhs) must reach the
-/// same density verdict a fresh probe of the live replay values reaches —
-/// on real model data, across slots. The mean aggregator's derived
-/// adjacency puts cached probes on the inference tape.
-#[test]
-fn cached_probe_verdicts_agree_with_fresh_probes_on_replay_data() {
-    let data = dataset(307);
+/// The training configuration the parity tests share: dropout between two
+/// GNN layers per branch, so replay must also consume the RNG stream
+/// exactly like eager.
+fn parity_config() -> StgnnConfig {
     let mut config = StgnnConfig::test_tiny(6, 2);
-    config.fcg_aggregator = FcgAggregator::Mean;
-    let model = StgnnDjd::new(config, data.n_stations()).unwrap();
-    let slots = data.slots(Split::Test);
-    let plan = model
-        .compile_inference_plan(&data, slots[0])
-        .unwrap()
-        .expect("mean aggregator must compile");
-    assert!(
-        plan.pass_report().probe_cached > 0,
-        "derived adjacency must yield cached probes: {}",
-        plan.pass_report()
-    );
-    let mut exec = plan.executor();
-    for &t in slots.iter().take(4) {
-        model
-            .plan_predict_horizon(&plan, &mut exec, &data, t)
-            .unwrap();
-        let (checked, agreeing) = plan.cached_probe_agreement(&exec);
-        assert!(checked > 0, "slot {t}: no cached probes checked");
-        assert_eq!(checked, agreeing, "slot {t}: a cached verdict went stale");
+    config.dropout = 0.2;
+    config.fcg_layers = 2;
+    config.pcg_layers = 2;
+    config
+}
+
+/// Every §VII-F/G configuration that compiles a plan, beyond the default.
+fn plan_compiling_ablations() -> Vec<(&'static str, StgnnConfig)> {
+    let with = |edit: fn(&mut StgnnConfig)| {
+        let mut config = parity_config();
+        edit(&mut config);
+        config
+    };
+    vec![
+        ("FCG-Mean", with(|c| c.fcg_aggregator = FcgAggregator::Mean)),
+        ("PCG-Mean", with(|c| c.pcg_aggregator = PcgAggregator::Mean)),
+        ("PCG-Max", with(|c| c.pcg_aggregator = PcgAggregator::Max)),
+        ("No-FCG", with(|c| c.use_fcg = false)),
+        ("No-PCG", with(|c| c.use_pcg = false)),
+        (
+            "no predictor hidden layer",
+            with(|c| c.predictor_hidden = None),
+        ),
+        ("horizon 3", with(|c| c.horizon = 3)),
+    ]
+}
+
+/// Each plan-compiling ablation's inference plan must predict
+/// bit-identically to eager at 1 and 4 kernel threads (their training
+/// batches are covered by the optimizer-pass test above).
+#[test]
+fn every_plan_compiling_ablation_infers_bitwise_like_eager() {
+    let data = dataset(308);
+    let slot = data.slots(Split::Test)[0];
+    for (name, config) in plan_compiling_ablations() {
+        let model = StgnnDjd::new(config, data.n_stations()).unwrap();
+        let eager = model.predict_horizon(&data, slot);
+        for threads in [1usize, 4] {
+            let _threads = stgnn_tensor::par::scoped_threads(threads);
+            let at = format!("{name} at {threads} thread(s)");
+            let plan = model
+                .compile_inference_plan(&data, slot)
+                .unwrap()
+                .unwrap_or_else(|| panic!("{name} must compile an inference plan"));
+            let mut exec = plan.executor();
+            let replay = model
+                .plan_predict_horizon(&plan, &mut exec, &data, slot)
+                .unwrap();
+            assert_eq!(eager.len(), replay.len(), "horizon: {at}");
+            for (h, (e, r)) in eager.iter().zip(&replay).enumerate() {
+                for (a, b) in e.demand.iter().zip(&r.demand) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "demand h {h}: {at}");
+                }
+                for (a, b) in e.supply.iter().zip(&r.supply) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "supply h {h}: {at}");
+                }
+            }
+        }
+    }
+}
+
+/// The two configurations whose tapes cannot replay keep declining to
+/// compile: FCG-Max (input-dependent pooling structure) and No-FC (a mask
+/// derived from inputs that never reach the tape).
+#[test]
+fn non_replayable_ablations_do_not_compile() {
+    let data = dataset(309);
+    let t = data.slots(Split::Train)[0];
+    let mut fcg_max = parity_config();
+    fcg_max.fcg_aggregator = FcgAggregator::Max;
+    let mut no_fc = parity_config();
+    no_fc.use_flow_conv = false;
+    for (name, config) in [("FCG-Max", fcg_max), ("No-FC", no_fc)] {
+        let model = StgnnDjd::new(config, data.n_stations()).unwrap();
+        assert!(
+            model.compile_training_plan(&data, t).unwrap().is_none(),
+            "{name}: training plan"
+        );
+        assert!(
+            model.compile_inference_plan(&data, t).unwrap().is_none(),
+            "{name}: inference plan"
+        );
     }
 }
 

@@ -119,6 +119,9 @@ mod tests {
 
     #[test]
     fn atomic_write_replaces_content() {
+        // Sibling tests install process-wide fault plans on these very
+        // sites; the scoped empty plan takes the same lock and clears them.
+        let _quiet = scoped(FaultPlan::new());
         let path = tmp_dir("replace").join("replace.txt");
         atomic_write(&path, |w| w.write_all(b"first")).unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), b"first");

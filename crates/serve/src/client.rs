@@ -262,8 +262,17 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let server = std::thread::spawn(move || {
             if let Ok((mut s, _)) = listener.accept() {
+                // Drain the whole request head (the client writes it in
+                // several pieces): closing with unread bytes makes the
+                // kernel reset the connection instead of ending it.
+                let mut head = Vec::new();
                 let mut buf = [0u8; 1024];
-                let _ = s.read(&mut buf);
+                while !head.windows(4).any(|w| w == b"\r\n\r\n") {
+                    match s.read(&mut buf) {
+                        Ok(0) | Err(_) => break,
+                        Ok(n) => head.extend_from_slice(&buf[..n]),
+                    }
+                }
                 let _ = s.write_all(
                     b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nConnection: close\r\n\r\nok",
                 );

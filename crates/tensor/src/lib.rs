@@ -9,9 +9,10 @@
 //!   (cheap clones via `Arc`), elementwise arithmetic, matrix products,
 //!   reductions and broadcast helpers.
 //! * [`autograd`] — a tape-based reverse-mode autodiff [`autograd::Graph`]
-//!   whose [`autograd::Var`] handles mirror the tensor API; every
-//!   differentiable op registers a backward closure and gradients flow back
-//!   to [`nn::Param`] leaves.
+//!   whose [`autograd::Var`] handles mirror the tensor API; each op's
+//!   forward and backward formula lives once in the op table
+//!   ([`autograd::Op::forward`] / [`autograd::Op::backward`]) and gradients
+//!   flow back to [`nn::Param`] leaves.
 //! * [`nn`] — neural-network building blocks: [`nn::Linear`],
 //!   [`nn::Conv1x1`] (the paper's channel-fusing 1×1 convolution of
 //!   Eqs 1–4), dropout (a `Var` method), recurrent cells for the RNN/LSTM baselines,
@@ -27,8 +28,9 @@
 //!   leased from; fixed-shape steady states (a training step, a serve
 //!   forward) stop touching the system allocator once warm.
 //! * [`plan`] — a tape compiler: one traced [`autograd::Graph::snapshot`]
-//!   becomes a [`plan::Plan`] that replays forward+backward over
-//!   preallocated node slots, bit-identical to eager execution.
+//!   becomes a [`plan::Plan`] that replays forward+backward through the same
+//!   op table over preallocated node slots, bit-identical to eager
+//!   execution.
 //!
 //! The engine is deliberately CPU-only and `f32`-only: the model operates on
 //! `n×n` station matrices (n in the tens to hundreds), where a cache-friendly
@@ -50,6 +52,7 @@ pub mod autograd;
 pub mod error;
 pub mod loss;
 pub mod nn;
+mod op;
 pub mod optim;
 pub mod par;
 pub mod plan;

@@ -22,9 +22,11 @@
 //! Sizing: `STGNN_THREADS` (an integer ≥ 1) overrides
 //! `std::thread::available_parallelism()`; `STGNN_THREADS=1` — or a
 //! single-core machine — short-circuits every dispatch to a plain inline
-//! loop with zero synchronisation. Benchmarks and tests can additionally
-//! force a thread count at runtime with [`set_thread_override`], which is
-//! safe to flip concurrently precisely because results never depend on it.
+//! loop with zero synchronisation. Tests force a thread count at runtime
+//! with [`scoped_threads`], an RAII guard that serialises every test that
+//! reads or sets the override; single-process benchmarks may flip it
+//! directly with [`set_thread_override`]. Kernel *results* never depend on
+//! the width, so only code that observes the width itself needs the guard.
 
 use std::collections::VecDeque;
 use std::ops::Range;
@@ -96,11 +98,44 @@ pub fn configured_threads() -> usize {
 
 /// Forces (`Some(n)`) or restores (`None`) the dispatch width at runtime.
 ///
-/// Exists for benchmarks and determinism tests that compare thread counts
-/// within one process. Concurrent flips are harmless by design: kernels are
-/// bit-for-bit deterministic in the thread count.
+/// Exists for single-process benchmarks that compare thread counts; tests
+/// use [`scoped_threads`] instead. Concurrent flips cannot change kernel
+/// results (they are bit-for-bit deterministic in the thread count), only
+/// what [`effective_threads`] reports.
 pub fn set_thread_override(n: Option<usize>) {
     THREAD_OVERRIDE.store(n.map_or(0, |n| n.clamp(1, MAX_THREADS)), Ordering::Relaxed);
+}
+
+/// Holds the thread override for one test: [`scoped_threads`] takes the
+/// process-wide override lock and sets the width; dropping the guard (also
+/// during a panic unwind) restores the previous override, then releases
+/// the lock.
+pub struct ThreadScope {
+    prev: usize,
+    _lock: MutexGuard<'static, ()>,
+}
+
+/// Forces the dispatch width to `n` (clamped to `1..=MAX_THREADS`) until
+/// the returned guard drops.
+///
+/// Every test that sets or reads the override goes through this, so
+/// concurrently running tests never observe each other's width. Guards do
+/// not nest: take a second one only after the first has dropped.
+pub fn scoped_threads(n: usize) -> ThreadScope {
+    static OVERRIDE_LOCK: Mutex<()> = Mutex::new(());
+    let lock = lock(&OVERRIDE_LOCK);
+    let width = n.clamp(1, MAX_THREADS);
+    // `fetch_update` rather than `swap`: `stgnn-sound` resolves calls by
+    // name, and a `swap()` under a lock reads as the registry's hot-swap.
+    let (Ok(prev) | Err(prev)) =
+        THREAD_OVERRIDE.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |_| Some(width));
+    ThreadScope { prev, _lock: lock }
+}
+
+impl Drop for ThreadScope {
+    fn drop(&mut self) {
+        THREAD_OVERRIDE.store(self.prev, Ordering::Relaxed);
+    }
 }
 
 /// The thread count the next dispatch will use.
@@ -119,7 +154,9 @@ pub fn effective_threads() -> usize {
 pub fn init() -> usize {
     let n = effective_threads();
     if n > 1 {
-        ensure_workers(n - 1) + 1
+        // The pool never shrinks: a wider earlier width leaves extra
+        // workers, which this width does not use.
+        ensure_workers(n - 1).min(n - 1) + 1
     } else {
         1
     }
@@ -180,8 +217,14 @@ impl Latch {
         if let Some(p) = payload {
             lock(&self.panic).get_or_insert(p);
         }
-        *lock(&self.remaining) -= 1;
-        self.done.notify_all();
+        // Notify while still holding the lock: once the dispatcher sees
+        // zero it returns and the latch, which lives on its stack, is gone.
+        // A notify after the unlock would write into that freed frame.
+        let mut remaining = lock(&self.remaining);
+        *remaining -= 1;
+        if *remaining == 0 {
+            self.done.notify_all();
+        }
     }
 
     fn wait(&self) {
@@ -339,20 +382,19 @@ mod tests {
 
     #[test]
     fn for_each_chunk_visits_every_item_once() {
-        set_thread_override(Some(4));
+        let _threads = scoped_threads(4);
         let hits: Vec<AtomicU32> = (0..257).map(|_| AtomicU32::new(0)).collect();
         for_each_chunk(hits.len(), 1, |range| {
             for i in range {
                 hits[i].fetch_add(1, Ordering::Relaxed);
             }
         });
-        set_thread_override(None);
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
     }
 
     #[test]
     fn row_chunks_write_disjoint_windows() {
-        set_thread_override(Some(3));
+        let _threads = scoped_threads(3);
         let cols = 7;
         let mut out = vec![0.0f32; 50 * cols];
         for_each_row_chunk_mut(&mut out, cols, 1, |first_row, window| {
@@ -360,7 +402,6 @@ mod tests {
                 row.fill((first_row + r) as f32);
             }
         });
-        set_thread_override(None);
         for r in 0..50 {
             assert!(out[r * cols..(r + 1) * cols].iter().all(|&v| v == r as f32));
         }
@@ -369,19 +410,18 @@ mod tests {
     #[test]
     fn small_work_runs_inline() {
         // grain 100 over 10 items must not dispatch: body sees one range.
-        set_thread_override(Some(8));
+        let _threads = scoped_threads(8);
         let calls = AtomicU32::new(0);
         for_each_chunk(10, 100, |range| {
             assert_eq!(range, 0..10);
             calls.fetch_add(1, Ordering::Relaxed);
         });
-        set_thread_override(None);
         assert_eq!(calls.load(Ordering::Relaxed), 1);
     }
 
     #[test]
     fn panics_propagate_to_the_caller() {
-        set_thread_override(Some(2));
+        let _threads = scoped_threads(2);
         let result = std::panic::catch_unwind(|| {
             for_each_chunk(64, 1, |range| {
                 if range.contains(&63) {
@@ -389,30 +429,49 @@ mod tests {
                 }
             });
         });
-        set_thread_override(None);
         assert!(result.is_err(), "chunk panic must reach the dispatcher");
         // The pool must still work after a panic.
         let hits = AtomicU32::new(0);
-        set_thread_override(Some(2));
         for_each_chunk(64, 1, |range| {
             hits.fetch_add(range.len() as u32, Ordering::Relaxed);
         });
-        set_thread_override(None);
         assert_eq!(hits.load(Ordering::Relaxed), 64);
     }
 
     #[test]
     fn override_is_clamped_and_restored() {
-        set_thread_override(Some(10_000));
-        assert_eq!(effective_threads(), MAX_THREADS);
-        set_thread_override(Some(1));
-        assert_eq!(effective_threads(), 1);
-        set_thread_override(None);
-        assert_eq!(effective_threads(), configured_threads());
+        {
+            let _threads = scoped_threads(10_000);
+            assert_eq!(effective_threads(), MAX_THREADS);
+        }
+        {
+            let _threads = scoped_threads(0);
+            assert_eq!(effective_threads(), 1);
+        }
+        let _threads = scoped_threads(3);
+        assert_eq!(effective_threads(), 3);
+    }
+
+    #[test]
+    fn scope_restores_the_override_when_the_test_panics() {
+        let unwound = std::panic::catch_unwind(|| {
+            let _threads = scoped_threads(5);
+            panic!("test body fails while holding the scope");
+        });
+        assert!(unwound.is_err());
+        // The lock was released (this would deadlock otherwise) and the
+        // panicking scope's width is gone.
+        let _threads = scoped_threads(2);
+        assert_eq!(effective_threads(), 2);
+        assert_eq!(THREAD_OVERRIDE.load(Ordering::Relaxed), 2);
     }
 
     #[test]
     fn init_reports_effective_threads() {
-        assert_eq!(init(), effective_threads());
+        for n in [1, 2] {
+            let _threads = scoped_threads(n);
+            assert_eq!(init(), effective_threads());
+            assert_eq!(effective_threads(), n);
+        }
     }
 }

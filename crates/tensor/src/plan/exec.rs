@@ -2,40 +2,38 @@
 // node/parent ids proven in bounds by `Plan::compile`; the fused sweeps
 // index flat buffers whose lengths were validated against the traced
 // shapes.
-//! Plan execution: the forward/backward sweeps over [`PlanExec`] slots,
-//! including the fused-chain sweeps, the layout-flag GEMM dispatch, the
-//! in-place buffer steals and the density-probe cache.
+//! Plan execution: the forward/backward sweeps over [`PlanExec`] slots.
+//! Every node runs the shared op table ([`Op::forward`] / [`Op::backward`])
+//! except the three kernels the optimizer picks: fused-chain sweeps,
+//! in-place buffer steals, and the layout-flag GEMM every matmul runs
+//! through.
 
 use super::ir::{FusedChain, LeadKind, MapOp, NodeBinding, Role, ZipOp, MAX_STAGES};
 use super::Plan;
-use crate::autograd::Op;
+use crate::autograd::{Op, Saved};
 use crate::error::{Error, Result};
+use crate::op::with_operands;
 use crate::par;
 use crate::pool::Buffer;
-use crate::shape::Shape;
 use crate::tensor::{Tensor, PAR_GRAIN_OPS};
 
 /// Per-replay state of a [`Plan`]: one value slot, gradient slot and
-/// dropout-mask slot per node, plus argmax scratch for max-pool backward
-/// and the cached density-probe verdicts. Slots are overwritten in place on
-/// every replay; their buffers recycle through the [`crate::pool`].
+/// [`Saved`] slot (dropout mask, max-pool argmax) per node. Slots are
+/// overwritten in place on every replay; their buffers recycle through the
+/// [`crate::pool`] or are refilled where they stand.
 pub struct PlanExec {
     pub(crate) values: Vec<Tensor>,
     pub(crate) grads: Vec<Option<Tensor>>,
-    pub(crate) masks: Vec<Option<Tensor>>,
-    pub(crate) argmax: Vec<Option<Vec<usize>>>,
-    /// Per node: the cached matmul lhs density verdict (probe-cached nodes
-    /// only), filled on the first replay.
-    pub(crate) probe: Vec<Option<bool>>,
+    pub(crate) saved: Vec<Saved>,
 }
 
 impl PlanExec {
     /// The forward value of node `id` from the latest replay.
     ///
-    /// Under the optimizer, not every slot holds a live value: erased /
-    /// fused-lead / elided nodes keep their stale traced value, and a slot
-    /// whose buffer an in-place rewrite stole holds a scalar placeholder.
-    /// Spec roots, the loss and declared derived deps are always live.
+    /// Under the optimizer, not every slot holds a live value: erased and
+    /// fused-lead nodes keep their stale traced value, and a slot whose
+    /// buffer an in-place rewrite stole holds a scalar placeholder. Spec
+    /// roots, the loss and declared derived deps are always live.
     pub fn value(&self, id: usize) -> Option<&Tensor> {
         self.values.get(id)
     }
@@ -44,12 +42,6 @@ impl PlanExec {
     /// reached.
     pub fn grad(&self, id: usize) -> Option<&Tensor> {
         self.grads.get(id).and_then(Option::as_ref)
-    }
-
-    /// The cached density-probe verdict for node `id`, if the plan caches
-    /// it and at least one forward has run.
-    pub fn probe_verdict(&self, id: usize) -> Option<bool> {
-        self.probe.get(id).copied().flatten()
     }
 }
 
@@ -191,9 +183,7 @@ impl Plan {
         PlanExec {
             values: self.init_values.clone(),
             grads: vec![None; self.nodes.len()],
-            masks: vec![None; self.nodes.len()],
-            argmax: vec![None; self.nodes.len()],
-            probe: vec![None; self.nodes.len()],
+            saved: (0..self.nodes.len()).map(|_| Saved::Empty).collect(),
         }
     }
 
@@ -269,27 +259,22 @@ impl Plan {
                 }
                 NodeBinding::Param(p) => p.value(),
                 NodeBinding::Compute => match node.role {
-                    // Folded values stay frozen; erased/lead/elided nodes
-                    // are absorbed by their consumer's sweep or flags.
-                    Role::Folded
-                    | Role::Erased
-                    | Role::FusedLead { .. }
-                    | Role::ElidedTranspose => continue,
+                    // Erased/lead nodes are absorbed by their chain's sweep.
+                    Role::Erased | Role::FusedLead { .. } => continue,
                     Role::FusedOut { chain } => self.eval_fused(id, chain, exec)?,
-                    Role::Gemm { ta, tb, ua, ub } => {
-                        let probe = self.probe_for(id, exec)?;
-                        exec.values[ua].matmul_layout_probed(&exec.values[ub], ta, tb, probe)?
-                    }
+                    Role::Gemm => exec.values[node.parents[0]].matmul_layout(
+                        &exec.values[node.parents[1]],
+                        false,
+                        false,
+                    )?,
+                    Role::Eager if self.in_place[id].is_some() => self.eval_in_place(id, exec)?,
                     Role::Eager => {
-                        if self.in_place[id].is_some() {
-                            self.eval_in_place(id, exec)?
-                        } else if self.probe_cached[id] {
-                            let probe = self.probe_for(id, exec)?;
-                            exec.values[node.parents[0]]
-                                .matmul_probed(&exec.values[node.parents[1]], probe)?
-                        } else {
-                            self.eval(id, exec, draw)?
-                        }
+                        let PlanExec { values, saved, .. } = &mut *exec;
+                        with_operands(
+                            &node.parents,
+                            |p| &values[p],
+                            |inputs| node.op.forward(inputs, &mut saved[id], draw),
+                        )?
                     }
                 },
             };
@@ -329,41 +314,49 @@ impl Plan {
             in_place,
         )?;
         for id in (0..=root).rev() {
-            if exec.grads[id].is_none() {
-                continue;
-            }
-            if !matches!(self.nodes[id].binding, NodeBinding::Compute) {
+            let node = &self.nodes[id];
+            if exec.grads[id].is_none() || !matches!(node.binding, NodeBinding::Compute) {
                 continue; // leaves, params and constants spread no further
             }
-            let contribs = match self.nodes[id].role {
-                // Folded subtrees hold no params; their gradients are
-                // unobservable, exactly as in eager execution.
-                Role::Folded => continue,
+            if let Role::FusedOut { chain } = node.role {
+                self.backprop_fused(id, chain, exec)?;
+                continue;
+            }
+            let Some(g) = &exec.grads[id] else {
+                continue;
+            };
+            // One gradient per parent, in parent order.
+            let grads = match node.role {
                 // Never deposited into (its consumer is fused with it).
-                Role::Erased => continue,
-                Role::FusedOut { chain } => {
-                    self.backprop_fused(id, chain, exec)?;
-                    continue;
-                }
+                Role::Erased | Role::FusedOut { .. } => continue,
                 // The chain gradient stored here is already folded through
                 // this unary lead — release it to the parent now, at the
                 // lead's eager sweep position.
-                Role::FusedLead {
-                    relay_to: Some(src),
-                } => match &exec.grads[id] {
-                    Some(g) => vec![(src, g.clone())],
-                    None => continue,
-                },
-                Role::Gemm { ta, tb, ua, ub } => self.backprop_gemm(id, exec, ta, tb, ua, ub)?,
-                // A zip/broadcast lead runs its own eager backward formula
-                // on the stored chain gradient; an elided transpose keeps
-                // its eager `gᵀ`, so the deposit into the underlying matrix
-                // stays at its eager sweep position.
-                Role::Eager | Role::ElidedTranspose | Role::FusedLead { relay_to: None } => {
-                    self.backprop(id, exec)?
+                Role::FusedLead { relay: true } => vec![g.clone()],
+                // The table's `g·bᵀ` / `aᵀ·g` with the transposes as layout
+                // flags: the same multiply pairs in the same order, and the
+                // density probe samples the lhs in its effective layout, so
+                // the bits match `Op::backward`'s materialised transposes.
+                Role::Gemm => {
+                    let (a, b) = (&exec.values[node.parents[0]], &exec.values[node.parents[1]]);
+                    vec![
+                        g.matmul_layout(b, false, true)?,
+                        a.matmul_layout(g, true, false)?,
+                    ]
+                }
+                // A zip/broadcast lead runs its own table formula on the
+                // stored chain gradient (none of them reads the lead's own,
+                // never-computed output).
+                Role::Eager | Role::FusedLead { relay: false } => {
+                    let values = &exec.values;
+                    with_operands(
+                        &node.parents,
+                        |p| &values[p],
+                        |inputs| node.op.backward(g, inputs, &values[id], &exec.saved[id]),
+                    )?
                 }
             };
-            for (pid, g) in contribs {
+            for (&pid, g) in node.parents.iter().zip(grads) {
                 debug_assert!(pid < id, "tape order violated: node {id} feeds {pid}");
                 accumulate(&mut exec.grads[pid], g, in_place)?;
             }
@@ -397,30 +390,6 @@ impl Plan {
         self.forward(exec, inputs)?;
         self.backward(exec, seed_scale)?;
         self.loss_value(exec)
-    }
-
-    /// The (possibly cached) lhs density verdict for a probe-cached
-    /// matmul/GEMM node; `None` when the node probes fresh every call.
-    fn probe_for(&self, id: usize, exec: &mut PlanExec) -> Result<Option<bool>> {
-        if !self.probe_cached[id] {
-            return Ok(None);
-        }
-        if let Some(v) = exec.probe[id] {
-            return Ok(Some(v));
-        }
-        let node = &self.nodes[id];
-        let v = match node.role {
-            Role::Gemm { ta, ua, .. } => {
-                if ta {
-                    exec.values[ua].probe_dense_t()?
-                } else {
-                    exec.values[ua].probe_dense()
-                }
-            }
-            _ => exec.values[node.parents[0]].probe_dense(),
-        };
-        exec.probe[id] = Some(v);
-        Ok(Some(v))
     }
 
     /// One fused chain, forward: a single sweep computes the lead and every
@@ -642,34 +611,6 @@ impl Plan {
         Ok(())
     }
 
-    /// Backward for a layout-flag GEMM node — the eager `g·bᵀ` / `aᵀ·g`
-    /// formulas with the transposes folded into layout flags. The kernels
-    /// walk the same multiply pairs in the same order, and the density
-    /// probes sample exactly what eager's materialised operands would, so
-    /// the contributions are bit-identical and deposit into the *original*
-    /// parents (an elided transpose then relays with its own eager
-    /// backward).
-    fn backprop_gemm(
-        &self,
-        id: usize,
-        exec: &PlanExec,
-        ta: bool,
-        tb: bool,
-        ua: usize,
-        ub: usize,
-    ) -> Result<Vec<(usize, Tensor)>> {
-        let node = &self.nodes[id];
-        let g = exec.grads[id]
-            .as_ref()
-            .ok_or_else(|| Error::InvalidArgument(format!("node {id} has no gradient")))?;
-        // dL/d(op a) = g · (op b)ᵀ; with op b = ub^(tb), its transpose is
-        // ub^(!tb). Probes run fresh: `g` changes every step.
-        let ga = g.matmul_layout_probed(&exec.values[ub], false, !tb, None)?;
-        // dL/d(op b) = (op a)ᵀ · g, with (op a)ᵀ = ua^(!ta).
-        let gb = exec.values[ua].matmul_layout_probed(g, !ta, false, None)?;
-        Ok(vec![(node.parents[0], ga), (node.parents[1], gb)])
-    }
-
     /// Evaluates one node by overwriting its dying parent's buffer: the
     /// marked parent's tensor is stolen out of its slot (a shared scalar
     /// placeholder is parked there) and mutated with the identical
@@ -748,258 +689,5 @@ impl Plan {
             }
         }
         Ok(t)
-    }
-
-    /// Evaluates one op from its parents' slot values — the identical
-    /// kernel call the eager `Var` method makes.
-    fn eval(
-        &self,
-        id: usize,
-        exec: &mut PlanExec,
-        draw: &mut dyn FnMut() -> f32,
-    ) -> Result<Tensor> {
-        let node = &self.nodes[id];
-        let values = &exec.values;
-        let pv = |k: usize| -> &Tensor { &values[node.parents[k]] };
-        match &node.op {
-            Op::Leaf | Op::Param => Err(Error::InvalidArgument(format!(
-                "node {id}: {} nodes are bound, never computed",
-                node.op
-            ))),
-            Op::Add => pv(0).add(pv(1)),
-            Op::Sub => pv(0).sub(pv(1)),
-            Op::Mul => pv(0).mul(pv(1)),
-            Op::Div => pv(0).div(pv(1)),
-            Op::AddScalar(s) => Ok(pv(0).add_scalar(*s)),
-            Op::MulScalar(s) => Ok(pv(0).mul_scalar(*s)),
-            Op::Neg => Ok(pv(0).neg()),
-            Op::Matmul => pv(0).matmul(pv(1)),
-            Op::Transpose => pv(0).transpose(),
-            Op::Reshape(shape) => pv(0).reshape(shape.clone()),
-            Op::SliceRows { start, end } => pv(0).slice_rows(*start, *end),
-            Op::Relu => Ok(pv(0).relu()),
-            Op::Elu => Ok(pv(0).elu()),
-            Op::Sigmoid => Ok(pv(0).sigmoid()),
-            Op::Tanh => Ok(pv(0).tanh()),
-            Op::Exp => Ok(pv(0).exp()),
-            Op::Square => Ok(pv(0).square()),
-            Op::Abs => Ok(pv(0).abs()),
-            Op::Sqrt => Ok(pv(0).sqrt()),
-            Op::SoftmaxRows => pv(0).softmax_rows(),
-            Op::Dropout { rate } => {
-                let keep = 1.0 - rate;
-                let x = pv(0);
-                let mask = Tensor::filled_with(x.shape().clone(), || {
-                    if draw() < keep {
-                        1.0 / keep
-                    } else {
-                        0.0
-                    }
-                });
-                let out = x.mul(&mask)?;
-                exec.masks[id] = Some(mask);
-                Ok(out)
-            }
-            Op::AddRowBroadcast => pv(0).add_row_broadcast(pv(1)),
-            Op::AddColBroadcast => pv(0).add_col_broadcast(pv(1)),
-            Op::MulColBroadcast => pv(0).mul_col_broadcast(pv(1)),
-            Op::RowsMaxPool { groups } => {
-                let v = pv(0);
-                let (rows, cols) = v.shape().as_matrix("rows_max_pool")?;
-                let out_rows = groups.len();
-                let mut out = Buffer::filled(out_rows * cols, f32::NEG_INFINITY);
-                let mut argmax = exec.argmax[id].take().unwrap_or_default();
-                argmax.clear();
-                argmax.resize(out_rows * cols, 0);
-                for (i, group) in groups.iter().enumerate() {
-                    for &r in group {
-                        if r >= rows {
-                            return Err(Error::InvalidArgument(format!(
-                                "rows_max_pool: row {r} out of {rows}"
-                            )));
-                        }
-                        for c in 0..cols {
-                            let val = v.data()[r * cols + c];
-                            if val > out[i * cols + c] {
-                                out[i * cols + c] = val;
-                                argmax[i * cols + c] = r;
-                            }
-                        }
-                    }
-                }
-                exec.argmax[id] = Some(argmax);
-                Ok(Tensor::from_buffer(Shape::matrix(out_rows, cols), out))
-            }
-            Op::SumAll => Ok(pv(0).sum_all()),
-            Op::MeanAll => Ok(pv(0).mean_all()),
-            Op::SumCols => pv(0).sum_cols(),
-            Op::SumRows => pv(0).sum_rows(),
-            Op::ConcatCols => {
-                let parts: Vec<&Tensor> = node.parents.iter().map(|&p| &values[p]).collect();
-                Tensor::concat_cols(&parts)
-            }
-        }
-    }
-
-    /// Re-applies the eager backward formula for node `id`, returning the
-    /// gradient contribution per parent in parent order.
-    fn backprop(&self, id: usize, exec: &PlanExec) -> Result<Vec<(usize, Tensor)>> {
-        let node = &self.nodes[id];
-        let g = exec.grads[id]
-            .as_ref()
-            .ok_or_else(|| Error::InvalidArgument(format!("node {id} has no gradient")))?;
-        let values = &exec.values;
-        let out = &values[id];
-        let pid = |k: usize| node.parents[k];
-        let pv = |k: usize| -> &Tensor { &values[node.parents[k]] };
-        let one = |t: Tensor| -> Result<Vec<(usize, Tensor)>> { Ok(vec![(node.parents[0], t)]) };
-        match &node.op {
-            Op::Leaf | Op::Param => Ok(Vec::new()),
-            Op::Add => Ok(vec![(pid(0), g.clone()), (pid(1), g.clone())]),
-            Op::Sub => Ok(vec![(pid(0), g.clone()), (pid(1), g.neg())]),
-            Op::Mul => Ok(vec![(pid(0), g.mul(pv(1))?), (pid(1), g.mul(pv(0))?)]),
-            Op::Div => {
-                let (av, bv) = (pv(0), pv(1));
-                let ga = g.div(bv)?;
-                // d(a/b)/db = -a / b²  — same composition as the eager closure.
-                let gb = g.mul(av)?.div(&bv.square())?.neg();
-                Ok(vec![(pid(0), ga), (pid(1), gb)])
-            }
-            Op::AddScalar(_) => one(g.clone()),
-            Op::MulScalar(s) => one(g.mul_scalar(*s)),
-            Op::Neg => one(g.neg()),
-            Op::Matmul => {
-                let (av, bv) = (pv(0), pv(1));
-                let ga = g.matmul(&bv.transpose()?)?;
-                let gb = av.transpose()?.matmul(g)?;
-                Ok(vec![(pid(0), ga), (pid(1), gb)])
-            }
-            Op::Transpose => one(g.transpose()?),
-            Op::Reshape(_) => one(g.reshape(pv(0).shape().clone())?),
-            Op::SliceRows { start, end } => {
-                let (_, cols) = pv(0).shape().as_matrix("slice_rows_bw")?;
-                let mut full = Tensor::zeros(pv(0).shape().clone());
-                full.data_mut()[start * cols..end * cols].copy_from_slice(g.data());
-                one(full)
-            }
-            Op::Relu => {
-                one(g.zip_map(pv(0), "relu_bw", |gv, xv| if xv > 0.0 { gv } else { 0.0 })?)
-            }
-            Op::Elu => {
-                one(g.zip_map(
-                    out,
-                    "elu_bw",
-                    |gv, ov| {
-                        if ov > 0.0 {
-                            gv
-                        } else {
-                            gv * (ov + 1.0)
-                        }
-                    },
-                )?)
-            }
-            Op::Sigmoid => one(g.zip_map(out, "sigmoid_bw", |gv, sv| gv * sv * (1.0 - sv))?),
-            Op::Tanh => one(g.zip_map(out, "tanh_bw", |gv, tv| gv * (1.0 - tv * tv))?),
-            Op::Exp => one(g.mul(out)?),
-            Op::Square => one(g.zip_map(pv(0), "square_bw", |gv, xv| gv * 2.0 * xv)?),
-            Op::Abs => one(g.zip_map(pv(0), "abs_bw", |gv, xv| {
-                if xv == 0.0 {
-                    0.0
-                } else {
-                    gv * xv.signum()
-                }
-            })?),
-            Op::Sqrt => one(g.zip_map(out, "sqrt_bw", |gv, sv| gv * 0.5 / sv.max(1e-8))?),
-            Op::SoftmaxRows => {
-                // dx_j = s_j (g_j − Σ_k g_k s_k), per row — serial, exactly
-                // as the eager closure computes it.
-                let s = out;
-                let (r, c) = s.shape().as_matrix("softmax_bw")?;
-                let mut dx = Tensor::zeros(Shape::matrix(r, c));
-                let buf = dx.data_mut();
-                for i in 0..r {
-                    let srow = s.row(i);
-                    let grow = g.row(i);
-                    let dot: f32 = srow.iter().zip(grow).map(|(&sv, &gv)| sv * gv).sum();
-                    for j in 0..c {
-                        buf[i * c + j] = srow[j] * (grow[j] - dot);
-                    }
-                }
-                one(dx)
-            }
-            Op::Dropout { .. } => {
-                let mask = exec.masks[id].as_ref().ok_or_else(|| {
-                    Error::InvalidArgument(format!(
-                        "dropout node {id} has no mask — backward before forward?"
-                    ))
-                })?;
-                one(g.mul(mask)?)
-            }
-            Op::AddRowBroadcast => Ok(vec![(pid(0), g.clone()), (pid(1), g.sum_rows()?)]),
-            Op::AddColBroadcast => Ok(vec![(pid(0), g.clone()), (pid(1), g.sum_cols()?)]),
-            Op::MulColBroadcast => {
-                let (av, cv) = (pv(0), pv(1));
-                let ga = g.mul_col_broadcast(cv)?;
-                let gc = g.mul(av)?.sum_cols()?;
-                Ok(vec![(pid(0), ga), (pid(1), gc)])
-            }
-            Op::RowsMaxPool { groups } => {
-                let argmax = exec.argmax[id].as_ref().ok_or_else(|| {
-                    Error::InvalidArgument(format!(
-                        "rows_max_pool node {id} has no argmax — backward before forward?"
-                    ))
-                })?;
-                let (out_rows, cols) = (groups.len(), out.shape().cols());
-                let mut dx = Tensor::zeros(pv(0).shape().clone());
-                let buf = dx.data_mut();
-                for i in 0..out_rows {
-                    for c in 0..cols {
-                        buf[argmax[i * cols + c] * cols + c] += g.data()[i * cols + c];
-                    }
-                }
-                one(dx)
-            }
-            Op::SumAll => one(Tensor::full(pv(0).shape().clone(), g.scalar())),
-            Op::MeanAll => {
-                let shape = pv(0).shape().clone();
-                let inv = 1.0 / shape.len() as f32;
-                one(Tensor::full(shape, g.scalar() * inv))
-            }
-            Op::SumCols => {
-                let (r, c) = pv(0).shape().as_matrix("sum_cols_bw")?;
-                let mut dx = Tensor::zeros(Shape::matrix(r, c));
-                let buf = dx.data_mut();
-                for i in 0..r {
-                    let gv = g.data()[i];
-                    buf[i * c..(i + 1) * c].fill(gv);
-                }
-                one(dx)
-            }
-            Op::SumRows => {
-                let (r, c) = pv(0).shape().as_matrix("sum_rows_bw")?;
-                let mut dx = Tensor::zeros(Shape::matrix(r, c));
-                let buf = dx.data_mut();
-                for i in 0..r {
-                    buf[i * c..(i + 1) * c].copy_from_slice(g.data());
-                }
-                one(dx)
-            }
-            Op::ConcatCols => {
-                let rows = out.shape().rows();
-                let mut contribs = Vec::with_capacity(node.parents.len());
-                let mut col = 0;
-                for &p in &node.parents {
-                    let w = values[p].shape().cols();
-                    let mut part = Buffer::zeroed(rows * w);
-                    for r in 0..rows {
-                        let src = &g.row(r)[col..col + w];
-                        part[r * w..(r + 1) * w].copy_from_slice(src);
-                    }
-                    contribs.push((p, Tensor::from_buffer(Shape::matrix(rows, w), part)));
-                    col += w;
-                }
-                Ok(contribs)
-            }
-        }
     }
 }

@@ -23,7 +23,7 @@
 //! lead (it is already folded through the lead's own map), or pushed
 //! through the lead's unchanged eager backward formula for zip/broadcast
 //! leads (none of which read the lead's own never-computed output value).
-//! Every scalar formula in the fold replicates the eager kernel closures
+//! Every scalar formula in the fold replicates the op table's kernels
 //! exactly, and the recomputed intermediates are bit-identical to the slot
 //! values eager backward would read, so the deposited bits match.
 //!
@@ -109,9 +109,9 @@ pub(crate) fn fuse_chains(plan: &mut Plan) -> (usize, usize) {
         }
         let out = cur;
         let parents = &plan.nodes[lead].parents;
-        let (src, relay_to) = match kind {
-            LeadKind::Map(_) => ((parents[0], None), Some(parents[0])),
-            _ => ((parents[0], Some(parents[1])), None),
+        let (src, relay) = match kind {
+            LeadKind::Map(_) => ((parents[0], None), true),
+            _ => ((parents[0], Some(parents[1])), false),
         };
         let chain_idx = plan.chains.len();
         plan.chains.push(FusedChain {
@@ -121,7 +121,7 @@ pub(crate) fn fuse_chains(plan: &mut Plan) -> (usize, usize) {
             src,
             stages,
         });
-        plan.nodes[lead].role = Role::FusedLead { relay_to };
+        plan.nodes[lead].role = Role::FusedLead { relay };
         for &m in &members[1..members.len() - 1] {
             plan.nodes[m].role = Role::Erased;
         }

@@ -75,47 +75,35 @@ pub struct PlanSpec {
     pub loss: Option<usize>,
 }
 
-/// Which optimizer passes [`super::Plan::compile_with`] runs. Every pass is
+/// Which optimizer passes [`super::Plan::compile_with`] runs. Each pass is
 /// individually disableable so the parity suite can prove each one
-/// bit-identical in isolation; [`Default`] turns everything on.
+/// bit-identical in isolation; [`Default`] turns both on. Every matmul runs
+/// through the layout-flag GEMM whatever the options.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PlanOptions {
-    /// Freeze compute subtrees reachable only from constant leaves.
-    pub fold_constants: bool,
-    /// Fold single-consumer `Transpose` nodes into the consuming `Matmul`
-    /// as layout flags (and run *every* matmul's backward through the
-    /// layout-flag GEMM, eliding the two gradient transposes).
-    pub elide_transposes: bool,
     /// Collapse elementwise chains into single-sweep fused ops.
     pub fuse: bool,
     /// Let an op overwrite a dying parent's buffer instead of writing a
     /// fresh one, and accumulate gradients in place.
     pub in_place: bool,
-    /// Probe matmul lhs density once per executor for stable operands.
-    pub cache_probes: bool,
 }
 
 impl Default for PlanOptions {
     fn default() -> Self {
         PlanOptions {
-            fold_constants: true,
-            elide_transposes: true,
             fuse: true,
             in_place: true,
-            cache_probes: true,
         }
     }
 }
 
 impl PlanOptions {
-    /// Every pass disabled — replay re-applies the eager formulas verbatim.
+    /// Every pass disabled — replay runs the op table node by node (and
+    /// matmuls through the GEMM).
     pub fn none() -> Self {
         PlanOptions {
-            fold_constants: false,
-            elide_transposes: false,
             fuse: false,
             in_place: false,
-            cache_probes: false,
         }
     }
 
@@ -125,14 +113,11 @@ impl PlanOptions {
     }
 }
 
-/// What each optimizer pass did to one compiled plan.
+/// What compilation did to one plan: the GEMM routing every matmul gets,
+/// and what each optimizer pass rewrote.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PassReport {
-    /// Compute nodes frozen by constant folding.
-    pub folded: usize,
-    /// `Transpose` nodes folded into a consumer's layout flags.
-    pub elided_transposes: usize,
-    /// Matmul nodes rerouted through the layout-flag GEMM microkernel.
+    /// Matmul nodes run through the layout-flag GEMM (every matmul).
     pub gemm_nodes: usize,
     /// Elementwise chains collapsed into fused sweeps.
     pub fused_chains: usize,
@@ -140,22 +125,14 @@ pub struct PassReport {
     pub fused_ops: usize,
     /// Nodes that overwrite a dying parent's buffer in place.
     pub in_place_nodes: usize,
-    /// Matmul/GEMM nodes whose lhs density probe is cached per executor.
-    pub probe_cached: usize,
 }
 
 impl fmt::Display for PassReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "folded={} elided_transposes={} gemm={} fused={}ops/{}chains in_place={} probes_cached={}",
-            self.folded,
-            self.elided_transposes,
-            self.gemm_nodes,
-            self.fused_ops,
-            self.fused_chains,
-            self.in_place_nodes,
-            self.probe_cached,
+            "gemm={} fused={}ops/{}chains in_place={}",
+            self.gemm_nodes, self.fused_ops, self.fused_chains, self.in_place_nodes,
         )
     }
 }
@@ -177,43 +154,29 @@ pub(crate) enum NodeBinding {
 /// How the executor treats one `Compute` node after optimization.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Role {
-    /// Run the eager forward/backward formulas (the unoptimized default).
+    /// Run the op table's forward/backward (the unoptimized default).
     Eager,
-    /// Constant-folded: the slot keeps its traced value forever; forward
-    /// and backward both skip the node (its subtree holds no params).
-    Folded,
     /// Interior of a fused chain: never evaluated, never swept — the
     /// chain's [`Role::FusedOut`] recomputes it per element.
     Erased,
     /// Head of a fused chain. No forward (the chain's sweep starts from
     /// this node's *parents*); at backward-sweep time the chain gradient
     /// stored in this node's grad slot is released — relayed to the parent
-    /// for a unary lead, or pushed through the node's own eager backward
-    /// formula for a zip/broadcast lead — so deposits to nodes outside the
-    /// chain land at exactly the eager sweep position.
+    /// for a unary lead, or pushed through the node's own table backward
+    /// for a zip/broadcast lead — so deposits to nodes outside the chain
+    /// land at exactly the eager sweep position.
     FusedLead {
-        /// `Some(parent)` for a unary-map lead: the stored gradient is
-        /// already folded through the lead and deposits directly there.
-        relay_to: Option<usize>,
+        /// True for a unary-map lead: the stored gradient is already
+        /// folded through the lead and deposits directly into its parent.
+        relay: bool,
     },
     /// Final node of a fused chain (index into `Plan::chains`): one sweep
     /// computes the whole chain forward; backward folds the output
     /// gradient back through the chain per element.
     FusedOut { chain: usize },
-    /// Matmul routed through the layout-flag GEMM microkernel. `ua`/`ub`
-    /// are the *effective* operand value ids: the elided transpose's input
-    /// when the matching flag is set, the original parent otherwise.
-    Gemm {
-        ta: bool,
-        tb: bool,
-        ua: usize,
-        ub: usize,
-    },
-    /// A transpose folded into its consuming matmul: no forward (the GEMM
-    /// reads the untransposed value with a layout flag); backward keeps the
-    /// eager `gᵀ` formula so the deposit into the underlying matrix happens
-    /// at the same sweep position as eager execution.
-    ElidedTranspose,
+    /// Matmul run through the layout-flag GEMM: forward `a·b`, backward
+    /// `g·bᵀ` and `aᵀ·g` with the transposes as layout flags.
+    Gemm,
 }
 
 /// One node of the compiled schedule.
@@ -226,7 +189,7 @@ pub(crate) struct PlanNode {
 }
 
 /// A unary elementwise op a fused sweep can apply in registers. The `fwd`
-/// and `bwd` bodies replicate the corresponding [`Tensor`] kernel closures
+/// and `bwd` bodies replicate the corresponding op-table formulas
 /// *exactly* — same intrinsics, same comparison directions — because the
 /// fused sweep must produce the same bits the op-at-a-time kernels produce.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -298,7 +261,7 @@ impl MapOp {
         }
     }
 
-    /// The scalar body of the op's backward closure: the gradient `g`
+    /// The scalar body of the op's table backward: the gradient `g`
     /// arriving at the output, folded to the input, given the input value
     /// `x_in` and output value `x_out` (the fused backward recomputes both,
     /// bit-identical to the slot values eager backward reads).
@@ -408,8 +371,8 @@ pub struct PlanNodeSummary {
     pub op: &'static str,
     /// How the optimizer classified the node.
     pub kind: PlanOpKind,
-    /// The value ids the node actually reads on replay (for a GEMM node
-    /// these are the *effective* operands, post-elision).
+    /// The value ids the node actually reads on replay (for a fused-out
+    /// node, its chain lead's operands).
     pub parents: Vec<usize>,
     /// The node's traced output shape.
     pub shape: Shape,
@@ -422,7 +385,7 @@ pub struct PlanNodeSummary {
 /// flattened for consumers outside this crate (`stgnn-analyze`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PlanOpKind {
-    /// Computed with the eager formulas.
+    /// Computed with the op table's formulas.
     Eager,
     /// Constant leaf (frozen traced value).
     Constant,
@@ -432,8 +395,6 @@ pub enum PlanOpKind {
     Derived,
     /// Parameter read.
     Param,
-    /// Constant-folded compute node.
-    Folded,
     /// Erased interior of a fused chain.
     Erased,
     /// Head of a fused chain.
@@ -443,15 +404,8 @@ pub enum PlanOpKind {
         /// Unary stages folded into the sweep (excluding the lead).
         stages: usize,
     },
-    /// Matmul routed through the layout-flag GEMM.
-    Gemm {
-        ta: bool,
-        tb: bool,
-        /// Whether the lhs density probe is cached per executor.
-        probe_cached: bool,
-    },
-    /// Transpose folded into a consuming GEMM's layout flag.
-    ElidedTranspose,
+    /// Matmul run through the layout-flag GEMM.
+    Gemm,
 }
 
 /// Structural summary of a compiled plan for external validation and FLOP

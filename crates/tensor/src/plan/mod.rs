@@ -7,8 +7,8 @@
 //! STGNN-DJD's tape has a fixed structure for a given station count and
 //! window configuration — every training step and every serve forward
 //! re-traces the identical graph. Eager mode pays for that by rebuilding
-//! every [`crate::autograd::Var`] node per step: `Rc` churn, backward
-//! closures, shape clones, and a fresh allocation per op output.
+//! every [`crate::autograd::Var`] node per step: `Rc` churn, shape clones,
+//! and a fresh allocation per op output.
 //!
 //! [`Plan::compile`] takes one [`TapeSnapshot`] traced by eager mode and
 //! turns it into a static schedule: ops in topological (= insertion) order,
@@ -20,32 +20,29 @@
 //! buffers through the [`crate::pool`] and the steady state performs **zero
 //! pool misses** — the allocator is never touched.
 //!
-//! On top of the schedule, [`Plan::compile_with`] runs an optimizer
-//! pipeline ([`PlanOptions`] gates each pass; see `DESIGN.md` §12):
+//! Replay runs the same op table as eager execution: every node calls
+//! [`Op::forward`] / [`Op::backward`], except where compilation picked one
+//! of three kernels (see `DESIGN.md` §12):
 //!
-//! 1. **Constant folding** — compute subtrees reachable only from constant
-//!    leaves are frozen at their traced values and skipped entirely.
-//! 2. **Transpose elision** — a single-consumer `Transpose` feeding a
-//!    `Matmul` becomes a layout flag on a blocked GEMM microkernel, and
-//!    every matmul's backward runs through the same layout-flag kernel,
-//!    eliding the two gradient transposes eager backward materialises.
-//! 3. **Elementwise fusion** — chains of zip/broadcast/unary elementwise
-//!    ops collapse into one cache-resident sweep; backward recomputes the
-//!    chain per element and releases the folded gradient at the chain
-//!    head's original sweep position.
-//! 4. **In-place rewrites** — where liveness allows, an op overwrites its
-//!    dying parent's buffer instead of cycling a fresh one through the
-//!    pool, and gradient accumulation adds into the existing slot.
-//! 5. **Probe caching** — matmul lhs density probes against stable
-//!    (constant/derived/folded) operands run once per executor.
+//! 1. **GEMM** — every matmul runs through the layout-flag GEMM
+//!    microkernel: forward `a·b`, backward `g·bᵀ` and `aᵀ·g` with the
+//!    transposes as layout flags instead of materialised copies.
+//! 2. **Elementwise fusion** ([`PlanOptions::fuse`]) — chains of
+//!    zip/broadcast/unary elementwise ops collapse into one cache-resident
+//!    sweep; backward recomputes the chain per element and releases the
+//!    folded gradient at the chain head's original sweep position.
+//! 3. **In-place rewrites** ([`PlanOptions::in_place`]) — where liveness
+//!    allows, an op overwrites its dying parent's buffer instead of cycling
+//!    a fresh one through the pool, and gradient accumulation adds into the
+//!    existing slot.
 //!
 //! Replay remains **bit-identical** to eager execution at any thread
-//! count: every pass preserves each output element's exact f32 operation
-//! sequence and every gradient deposit's sweep position (see the legality
-//! notes on each pass). Dropout nodes are never folded, fused or elided,
-//! so a plan step consumes the RNG stream exactly like the eager step it
-//! replaces. The parity suite in `crates/core/tests/plan_parity.rs` proves
-//! this per pass, per thread count, down to the bit.
+//! count: each kernel preserves every output element's exact f32
+//! operation sequence and every gradient deposit's sweep position (see the
+//! legality notes on each pass). Dropout nodes are never fused, so a plan
+//! step consumes the RNG stream exactly like the eager step it replaces.
+//! The parity suite in `crates/core/tests/plan_parity.rs` proves this per
+//! pass, per thread count, down to the bit.
 //!
 //! One caveat is inherent to replay: ops whose *structure* (not value) was
 //! derived from input data at trace time — [`Op::RowsMaxPool`] group lists
@@ -93,9 +90,6 @@ pub struct Plan {
     /// Per node: the parent slot whose buffer this node steals and
     /// overwrites in place (`None` = normal output).
     pub(crate) in_place: Vec<Option<usize>>,
-    /// Per node: whether the matmul/GEMM lhs density probe is cached in the
-    /// executor instead of re-run each replay.
-    pub(crate) probe_cached: Vec<bool>,
     pub(crate) options: PlanOptions,
     pub(crate) report: PassReport,
     /// Shared scalar parked in a slot whose buffer was stolen — cloning it
@@ -208,12 +202,16 @@ impl Plan {
             if matches!(info.op, Op::Dropout { .. }) {
                 has_dropout = true;
             }
+            let role = match (&info.op, &binding) {
+                (Op::Matmul, NodeBinding::Compute) => Role::Gemm,
+                _ => Role::Eager,
+            };
             nodes.push(PlanNode {
                 op: info.op.clone(),
                 parents: info.parents.clone(),
                 shape: info.shape.clone(),
                 binding,
-                role: Role::Eager,
+                role,
             });
             init_values.push(info.value.clone());
         }
@@ -241,7 +239,6 @@ impl Plan {
             derived_deps,
             chains: Vec::new(),
             in_place: vec![None; n],
-            probe_cached: vec![false; n],
             options,
             report: PassReport::default(),
             placeholder: Tensor::from_scalar(0.0),
@@ -250,20 +247,14 @@ impl Plan {
         Ok(plan)
     }
 
-    /// Runs the enabled optimizer passes, in dependency order: folding
-    /// first (so later passes see frozen subtrees), then structural
-    /// rewrites (elision, fusion), then the purely-local passes (in-place,
-    /// probe marks) over the final roles.
+    /// Runs the enabled optimizer passes in dependency order: fusion
+    /// rewrites roles first, then the purely-local in-place pass marks
+    /// steals over the final roles.
     fn optimize(&mut self) {
-        let mut report = PassReport::default();
-        if self.options.fold_constants {
-            report.folded = passes::fold_constants(self);
-        }
-        if self.options.elide_transposes {
-            let (elided, gemms) = passes::elide_transposes(self);
-            report.elided_transposes = elided;
-            report.gemm_nodes = gemms;
-        }
+        let mut report = PassReport {
+            gemm_nodes: self.nodes.iter().filter(|n| n.role == Role::Gemm).count(),
+            ..PassReport::default()
+        };
         if self.options.fuse {
             let (chains, ops) = fuse::fuse_chains(self);
             report.fused_chains = chains;
@@ -271,9 +262,6 @@ impl Plan {
         }
         if self.options.in_place {
             report.in_place_nodes = passes::mark_in_place(self);
-        }
-        if self.options.cache_probes {
-            report.probe_cached = passes::mark_probe_cache(self);
         }
         self.report = report;
     }
@@ -309,36 +297,6 @@ impl Plan {
         self.report
     }
 
-    /// Node ids whose lhs density probe is cached per executor (matmul /
-    /// GEMM nodes over stable operands). Exposed for the probe-agreement
-    /// tests.
-    pub fn cached_probe_nodes(&self) -> Vec<usize> {
-        (0..self.nodes.len())
-            .filter(|&id| self.probe_cached[id])
-            .collect()
-    }
-
-    /// Recomputes the probe verdict for node `id` from the executor's
-    /// current slot values — what an uncached replay would decide right
-    /// now. `None` when the node is not a probe-cached matmul/GEMM.
-    pub fn fresh_probe(&self, exec: &PlanExec, id: usize) -> Option<bool> {
-        if !self.probe_cached.get(id).copied().unwrap_or(false) {
-            return None;
-        }
-        let node = &self.nodes[id];
-        match node.role {
-            Role::Gemm { ta, ua, .. } => {
-                let lhs = exec.value(ua)?;
-                Some(if ta {
-                    lhs.probe_dense_t().ok()?
-                } else {
-                    lhs.probe_dense()
-                })
-            }
-            _ => Some(exec.value(node.parents[0])?.probe_dense()),
-        }
-    }
-
     /// A structural summary for external validators (`stgnn-analyze`): one
     /// entry per node with its optimizer classification and *effective*
     /// parent reads.
@@ -346,8 +304,7 @@ impl Plan {
         let nodes = self
             .nodes
             .iter()
-            .enumerate()
-            .map(|(id, node)| {
+            .map(|node| {
                 let (kind, parents) = match (&node.binding, node.role) {
                     (NodeBinding::Constant, _) => (PlanOpKind::Constant, node.parents.clone()),
                     (NodeBinding::Input(_), _) => (PlanOpKind::Input, node.parents.clone()),
@@ -355,7 +312,7 @@ impl Plan {
                     (NodeBinding::Param(_), _) => (PlanOpKind::Param, node.parents.clone()),
                     (NodeBinding::Compute, role) => match role {
                         Role::Eager => (PlanOpKind::Eager, node.parents.clone()),
-                        Role::Folded => (PlanOpKind::Folded, node.parents.clone()),
+                        Role::Gemm => (PlanOpKind::Gemm, node.parents.clone()),
                         Role::Erased => (PlanOpKind::Erased, node.parents.clone()),
                         Role::FusedLead { .. } => (PlanOpKind::FusedLead, node.parents.clone()),
                         Role::FusedOut { chain } => (
@@ -369,17 +326,6 @@ impl Plan {
                                 p
                             },
                         ),
-                        Role::Gemm { ta, tb, ua, ub } => (
-                            PlanOpKind::Gemm {
-                                ta,
-                                tb,
-                                probe_cached: self.probe_cached[id],
-                            },
-                            vec![ua, ub],
-                        ),
-                        Role::ElidedTranspose => {
-                            (PlanOpKind::ElidedTranspose, node.parents.clone())
-                        }
                     },
                 };
                 let fused_cost_per_elem = match node.role {

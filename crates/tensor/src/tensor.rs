@@ -368,16 +368,6 @@ impl Tensor {
     /// depends only on the lhs values, never on the thread count, so the
     /// bitwise-determinism contract is unaffected.
     pub fn matmul(&self, rhs: &Tensor) -> Result<Tensor> {
-        self.matmul_probed(rhs, None)
-    }
-
-    /// [`Tensor::matmul`] with an optional pre-computed density verdict for
-    /// the lhs, so compiled-plan replay can probe a stable operand once and
-    /// reuse the verdict. `None` probes as usual; `Some(dense)` must equal
-    /// what [`Tensor::probe_dense`] would return **right now** — the two
-    /// inner loops produce different bits on `±0.0`/non-finite operands, so
-    /// a stale verdict would break the bit-identity contract.
-    pub fn matmul_probed(&self, rhs: &Tensor, probe: Option<bool>) -> Result<Tensor> {
         let (m, k) = self.shape.as_matrix("matmul")?;
         let (k2, n) = rhs.shape.as_matrix("matmul")?;
         if k != k2 {
@@ -395,7 +385,7 @@ impl Tensor {
         }
         let a = self.data();
         let b = rhs.data();
-        let dense = probe.unwrap_or_else(|| lhs_is_dense(a));
+        let dense = lhs_is_dense(a);
         let mut out = Buffer::zeroed(m * n);
         let grain = (PAR_GRAIN_OPS / (k * n).max(1)).max(1);
         par::for_each_row_chunk_mut(&mut out, n, grain, |first_row, window| {
@@ -425,22 +415,6 @@ impl Tensor {
         Ok(Tensor::from_buffer(Shape::matrix(m, n), out))
     }
 
-    /// The deterministic density verdict [`Tensor::matmul`] would derive
-    /// for this tensor as a lhs operand. Exposed so compiled-plan replay
-    /// can probe a stable operand once, cache the verdict, and hand it back
-    /// through [`Tensor::matmul_probed`].
-    pub fn probe_dense(&self) -> bool {
-        lhs_is_dense(self.data())
-    }
-
-    /// [`Tensor::probe_dense`] for this tensor *read transposed* — exactly
-    /// the verdict probing a materialised `self.transpose()` would give,
-    /// without materialising it.
-    pub fn probe_dense_t(&self) -> Result<bool> {
-        let (r, c) = self.shape.as_matrix("probe_dense_t")?;
-        Ok(lhs_is_dense_t(self.data(), r, c))
-    }
-
     /// Matrix product with layout flags: computes `op(self) · op(rhs)`
     /// where `op` transposes its operand when the flag is set, **without
     /// materialising the transpose**. `matmul_layout(b, true, false)` is
@@ -450,20 +424,9 @@ impl Tensor {
     /// in its *effective* (possibly transposed) layout, so even the
     /// sparse-path zero-skips match. The inner loops are 8-wide
     /// hand-unrolled lanes under [`GEMM_KC`] blocking, parallelised over
-    /// output rows through [`par`] like every other kernel.
+    /// output rows through [`par`] like every other kernel. Compiled-plan
+    /// replay runs every matmul, forward and backward, through this kernel.
     pub fn matmul_layout(&self, rhs: &Tensor, ta: bool, tb: bool) -> Result<Tensor> {
-        self.matmul_layout_probed(rhs, ta, tb, None)
-    }
-
-    /// [`Tensor::matmul_layout`] with an optional pre-computed density
-    /// verdict (see [`Tensor::matmul_probed`] for the staleness contract).
-    pub fn matmul_layout_probed(
-        &self,
-        rhs: &Tensor,
-        ta: bool,
-        tb: bool,
-        probe: Option<bool>,
-    ) -> Result<Tensor> {
         let (ar, ac) = self.shape.as_matrix("matmul")?;
         let (br, bc) = rhs.shape.as_matrix("matmul")?;
         let (m, k) = if ta { (ac, ar) } else { (ar, ac) };
@@ -480,13 +443,11 @@ impl Tensor {
         }
         let a = self.data();
         let b = rhs.data();
-        let dense = probe.unwrap_or_else(|| {
-            if ta {
-                lhs_is_dense_t(a, ar, ac)
-            } else {
-                lhs_is_dense(a)
-            }
-        });
+        let dense = if ta {
+            lhs_is_dense_t(a, ar, ac)
+        } else {
+            lhs_is_dense(a)
+        };
         let mut out = Buffer::zeroed(m * n);
         let grain = (PAR_GRAIN_OPS / (k * n).max(1)).max(1);
         par::for_each_row_chunk_mut(&mut out, n, grain, |first_row, window| {
@@ -1509,11 +1470,14 @@ mod tests {
                 a.mul_col_broadcast(&col).unwrap(),
             ]
         };
-        par::set_thread_override(Some(1));
-        let serial = run();
-        par::set_thread_override(Some(4));
-        let parallel = run();
-        par::set_thread_override(None);
+        let serial = {
+            let _threads = par::scoped_threads(1);
+            run()
+        };
+        let parallel = {
+            let _threads = par::scoped_threads(4);
+            run()
+        };
 
         for (s, p) in serial.iter().zip(&parallel) {
             assert_eq!(
@@ -1590,14 +1554,13 @@ mod tests {
             let b_t = b_nat.transpose().unwrap(); // n×k, rhs for tb=true
             let want = a_nat.matmul(&b_nat).unwrap();
             for threads in [1usize, 4] {
-                par::set_thread_override(Some(threads));
+                let _threads = par::scoped_threads(threads);
                 let cases = [
                     a_nat.matmul_layout(&b_nat, false, false).unwrap(),
                     a_nat.matmul_layout(&b_t, false, true).unwrap(),
                     a_t.matmul_layout(&b_nat, true, false).unwrap(),
                     a_t.matmul_layout(&b_t, true, true).unwrap(),
                 ];
-                par::set_thread_override(None);
                 for (i, got) in cases.iter().enumerate() {
                     let same = want
                         .data()
@@ -1614,9 +1577,9 @@ mod tests {
         }
     }
 
-    /// `probe_dense_t` (virtual-transpose density probe) must agree with
+    /// `lhs_is_dense_t` (virtual-transpose density probe) must agree with
     /// materialising the transpose and probing it, because the kernel branch
-    /// it picks must match what eager replay would have picked.
+    /// it picks must match what eager execution would have picked.
     #[test]
     fn transposed_probe_matches_materialized_probe() {
         let fill = |seed: u32, zero_every: u32| -> Tensor {
@@ -1636,30 +1599,11 @@ mod tests {
         for zero_every in [2u32, 3, 100] {
             let a = fill(zero_every, zero_every);
             assert_eq!(
-                a.probe_dense_t().unwrap(),
-                a.transpose().unwrap().probe_dense(),
+                lhs_is_dense_t(a.data(), 40, 33),
+                lhs_is_dense(a.transpose().unwrap().data()),
                 "virtual and materialized transpose probes disagree \
                  (zero_every={zero_every})"
             );
         }
-    }
-
-    /// A cached probe verdict injected into `matmul_probed` must reproduce
-    /// the fresh-probe result bitwise — both when the hint agrees with the
-    /// probe and (same kernel contract) when forced to the other branch on
-    /// an all-dense matrix, where both branches do identical work.
-    #[test]
-    fn cached_probe_verdict_matches_fresh() {
-        let a = t(&[&[1.0, 0.0, 2.0], &[0.0, 3.0, 0.0]]);
-        let b = t(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]);
-        let fresh = a.matmul(&b).unwrap();
-        let verdict = a.probe_dense();
-        let cached = a.matmul_probed(&b, Some(verdict)).unwrap();
-        assert_eq!(fresh.data(), cached.data());
-        // Sparse-skip only elides exact-zero terms, so even the "wrong"
-        // branch is numerically identical here; the contract is that a
-        // cached verdict selects the same code path a fresh probe would.
-        let other = a.matmul_probed(&b, Some(!verdict)).unwrap();
-        assert_eq!(fresh.data(), other.data());
     }
 }
