@@ -28,13 +28,8 @@ pub mod codes {
     pub const MASKED_SOFTMAX: &str = "A006";
     /// A recorded forward value is already non-finite (NaN/±inf).
     pub const NONFINITE: &str = "A007";
-    /// An optimized plan breaks a structural invariant the replay executor
-    /// depends on (stale-slot read, inconsistent GEMM layout, malformed
-    /// fused chain). See [`crate::plan::validate_plan`].
-    pub const PLAN_STRUCTURE: &str = "A008";
-    /// A plan's pass report disagrees with the roles actually annotated on
-    /// its nodes — some pass rewrote nodes it did not account for.
-    pub const PLAN_REPORT_DRIFT: &str = "A009";
+    // `A008` and `A009` belonged to the retired compiled-plan validator;
+    // they stay unassigned.
 }
 
 /// How a diagnostic gates the pipeline that requested validation.

@@ -117,10 +117,8 @@ fn bench_graph_generation(c: &mut Criterion) {
 /// chunking is fixed per row, not per thread), so the comparison is purely
 /// about wall clock.
 fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
-    par::set_thread_override(Some(threads));
-    let out = f();
-    par::set_thread_override(None);
-    out
+    let _threads = par::scoped_threads(threads);
+    f()
 }
 
 fn bench_par_matmul(c: &mut Criterion) {

@@ -1,6 +1,6 @@
 //! Prints the analyze-layer cost table for the quick-scale training tape
-//! plus wall-clock forward/backward splits of the compiled plan — the map
-//! used to decide which optimizer pass to spend effort on.
+//! plus wall-clock forward/backward splits of the compiled plan against
+//! eager — the map of where a training step spends its time.
 //!
 //! ```text
 //! cargo run --release -p stgnn-bench --example plan_profile
@@ -17,7 +17,7 @@ use stgnn_tensor::par;
 
 fn main() {
     par::init();
-    par::set_thread_override(Some(1));
+    let _threads = par::scoped_threads(1);
     let scale = Scale::from_env();
     let city = SyntheticCity::generate(scale.chicago_city());
     let data = BikeDataset::from_city(&city, scale.dataset_config()).expect("dataset");
@@ -67,13 +67,10 @@ fn main() {
     }
 
     // Wall-clock split: plan forward vs backward vs eager fwd/bwd.
-    let mut opts = stgnn_tensor::plan::PlanOptions::all();
-    opts.fuse = std::env::var("PROFILE_NO_FUSE").is_err();
     let plan = model
-        .compile_training_plan_with(&data, t0, opts)
+        .compile_training_plan(&data, t0)
         .expect("compile")
         .expect("compiles");
-    println!("\npass report: {}", plan.pass_report());
     let mut exec = plan.executor();
     let iters = 60;
     for _ in 0..3 {
@@ -120,5 +117,4 @@ fn main() {
         med(&mut efwd),
         med(&mut ebwd)
     );
-    par::set_thread_override(None);
 }

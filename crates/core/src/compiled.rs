@@ -35,7 +35,7 @@ use stgnn_data::dataset::BikeDataset;
 use stgnn_data::error::{Error, Result};
 use stgnn_data::predictor::Prediction;
 use stgnn_tensor::autograd::Graph;
-use stgnn_tensor::plan::{LeafBinding, PassReport, Plan, PlanExec, PlanOptions, PlanSpec};
+use stgnn_tensor::plan::{LeafBinding, Plan, PlanExec, PlanSpec};
 
 /// Leaf/node ids recorded while tracing one forward pass, so the plan
 /// compiler knows how each leaf gets its value on replay. Filled by the
@@ -94,11 +94,6 @@ impl TrainingPlan {
     pub fn needs_rng(&self) -> bool {
         self.plan.needs_rng()
     }
-
-    /// What the plan optimizer did to this tape.
-    pub fn pass_report(&self) -> PassReport {
-        self.plan.pass_report()
-    }
 }
 
 /// A compiled evaluation-mode forward pass to the demand/supply heads.
@@ -113,29 +108,10 @@ impl InferencePlan {
     pub fn executor(&self) -> PlanExec {
         self.plan.executor()
     }
-
-    /// What the plan optimizer did to this tape.
-    pub fn pass_report(&self) -> PassReport {
-        self.plan.pass_report()
-    }
 }
 
 fn plan_err(e: stgnn_tensor::Error) -> Error {
     Error::InvalidConfig(format!("compiled plan: {e}"))
-}
-
-/// Re-validates the optimizer's structural invariants (`A008`/`A009`) on
-/// the compiled plan. An unsound optimized plan is refused outright —
-/// callers treat the error like any compile failure and stay eager.
-fn check_plan_structure(plan: &Plan) -> Result<()> {
-    let report = stgnn_analyze::validate_plan(&plan.summary());
-    if !report.is_clean() {
-        return Err(Error::InvalidConfig(format!(
-            "refusing an optimized plan the validator denies: {}",
-            report.summary()
-        )));
-    }
-    Ok(())
 }
 
 fn require(id: Option<usize>, what: &str) -> Result<usize> {
@@ -162,20 +138,14 @@ fn window_bindings(trace: &ForwardTrace) -> Result<Vec<(usize, LeafBinding)>> {
     if let Some(mask_id) = trace.fcg_mask_leaf {
         let i_hat = require(trace.i_hat, "i_hat")?;
         let o_hat = require(trace.o_hat, "o_hat")?;
-        // The declared deps pin the Î/Ô (and mask) value slots so the plan
-        // optimizer never erases or steals what these closures read.
         bindings.push((
             mask_id,
-            LeafBinding::derived(vec![i_hat, o_hat], move |values| {
-                Ok(fcg_mask(&values[i_hat], &values[o_hat]))
-            }),
+            LeafBinding::derived(move |values| Ok(fcg_mask(&values[i_hat], &values[o_hat]))),
         ));
         for &adj_id in &trace.fcg_mean_adj_leaves {
             bindings.push((
                 adj_id,
-                LeafBinding::derived(vec![mask_id], move |values| {
-                    Ok(fcg_mean_adj(&values[mask_id]))
-                }),
+                LeafBinding::derived(move |values| Ok(fcg_mean_adj(&values[mask_id]))),
             ));
         }
     }
@@ -194,19 +164,6 @@ impl StgnnDjd {
         &self,
         data: &BikeDataset,
         t: usize,
-    ) -> Result<Option<TrainingPlan>> {
-        self.compile_training_plan_with(data, t, PlanOptions::default())
-    }
-
-    /// [`Self::compile_training_plan`] with explicit optimizer passes —
-    /// fusion and in-place rewrites are individually toggleable, and every
-    /// combination replays bit-identically to eager (the parity suite
-    /// asserts this per pass).
-    pub fn compile_training_plan_with(
-        &self,
-        data: &BikeDataset,
-        t: usize,
-        opts: PlanOptions,
     ) -> Result<Option<TrainingPlan>> {
         self.check_compatible(data)?;
         let g = Graph::new();
@@ -243,8 +200,7 @@ impl StgnnDjd {
             roots: vec![out.demand.id(), out.supply.id()],
             loss: Some(sq.id()),
         };
-        let plan = Plan::compile_with(&snapshot, self.params(), spec, opts).map_err(plan_err)?;
-        check_plan_structure(&plan)?;
+        let plan = Plan::compile(&snapshot, self.params(), spec).map_err(plan_err)?;
         Ok(Some(TrainingPlan { plan }))
     }
 
@@ -256,16 +212,6 @@ impl StgnnDjd {
         &self,
         data: &BikeDataset,
         t: usize,
-    ) -> Result<Option<InferencePlan>> {
-        self.compile_inference_plan_with(data, t, PlanOptions::default())
-    }
-
-    /// [`Self::compile_inference_plan`] with explicit optimizer passes.
-    pub fn compile_inference_plan_with(
-        &self,
-        data: &BikeDataset,
-        t: usize,
-        opts: PlanOptions,
     ) -> Result<Option<InferencePlan>> {
         self.check_compatible(data)?;
         let g = Graph::new();
@@ -289,8 +235,7 @@ impl StgnnDjd {
             roots: vec![out.demand.id(), out.supply.id()],
             loss: None,
         };
-        let plan = Plan::compile_with(&snapshot, self.params(), spec, opts).map_err(plan_err)?;
-        check_plan_structure(&plan)?;
+        let plan = Plan::compile(&snapshot, self.params(), spec).map_err(plan_err)?;
         Ok(Some(InferencePlan { plan }))
     }
 

@@ -47,10 +47,6 @@ pub struct TrainReport {
     /// configuration; false for structurally replay-incompatible ones like
     /// the FCG max aggregator or the "No FC" ablation).
     pub used_compiled_plan: bool,
-    /// The plan optimizer's pass report for the compiled training tape
-    /// (GEMM nodes, fused chains, in-place rewrites), rendered; `None` when
-    /// training stayed eager.
-    pub plan_passes: Option<String>,
     /// Tensor-pool misses per optimizer step over the final epoch's batch
     /// loop — fresh heap allocations the buffer pool could not serve. The
     /// compiled-plan path reaches 0.0 once warm (validation sweeps are
@@ -201,7 +197,6 @@ impl Trainer {
             kernel_threads,
             tape,
             used_compiled_plan: train_plan.is_some(),
-            plan_passes: train_plan.as_ref().map(|p| p.pass_report().to_string()),
             allocs_per_step: 0.0,
             resumed: resume.is_some(),
             checkpoint_writes: 0,

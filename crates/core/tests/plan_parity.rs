@@ -12,7 +12,6 @@ use stgnn_core::Trainer;
 use stgnn_data::dataset::{BikeDataset, DatasetConfig, Split};
 use stgnn_data::synthetic::{CityConfig, SyntheticCity};
 use stgnn_tensor::autograd::Graph;
-use stgnn_tensor::plan::PlanOptions;
 use stgnn_tensor::Tensor;
 
 fn dataset(seed: u64) -> BikeDataset {
@@ -185,7 +184,7 @@ fn fcg_mean_configuration_replays_through_derived_adjacency() {
     }
 }
 
-/// The eager reference for the optimizer-pass parity tests: one training
+/// The eager reference for the training-batch parity test: one training
 /// batch (3 slots, dropout on, 2 GNN layers per branch) run with the
 /// trainer's exact recipe. Returns the batch radicand and every parameter
 /// gradient.
@@ -219,14 +218,14 @@ fn eager_reference(data: &BikeDataset, config: &StgnnConfig) -> (f64, Vec<Tensor
     (radicand, grads)
 }
 
-/// Runs the same batch on a twin model through a plan compiled with `opts`
+/// Runs the same batch on a twin model through its compiled training plan
 /// and returns the radicand and gradients.
-fn plan_run(data: &BikeDataset, config: &StgnnConfig, opts: PlanOptions) -> (f64, Vec<Tensor>) {
+fn plan_run(data: &BikeDataset, config: &StgnnConfig) -> (f64, Vec<Tensor>) {
     let twin = StgnnDjd::new(config.clone(), data.n_stations()).unwrap();
     let train = data.slots(Split::Train);
     let batch: Vec<usize> = train.iter().take(3).copied().collect();
     let plan = twin
-        .compile_training_plan_with(data, batch[0], opts)
+        .compile_training_plan(data, batch[0])
         .unwrap()
         .expect("standard config must compile");
     twin.params().zero_grads();
@@ -252,49 +251,28 @@ fn plan_run(data: &BikeDataset, config: &StgnnConfig, opts: PlanOptions) -> (f64
     (radicand, grads)
 }
 
-/// Every optimizer pass — individually and all together — must leave the
-/// full model's training batch bit-identical to eager: the radicand and
-/// every parameter gradient, at 1 *and* 4 kernel threads, for the default
-/// configuration and every plan-compiling ablation. This is the contract
-/// that lets the optimizer default to on.
+/// The compiled plan must leave the full model's training batch
+/// bit-identical to eager: the radicand and every parameter gradient, at 1
+/// *and* 4 kernel threads, for the default configuration and every
+/// plan-compiling ablation.
 #[test]
-fn every_optimizer_pass_is_bitwise_parity_preserving() {
+fn every_plan_compiling_config_trains_bitwise_like_eager() {
     let data = dataset(306);
-    let variants: [(&str, PlanOptions); 4] = [
-        ("none", PlanOptions::none()),
-        (
-            "fuse",
-            PlanOptions {
-                fuse: true,
-                ..PlanOptions::none()
-            },
-        ),
-        (
-            "in_place",
-            PlanOptions {
-                in_place: true,
-                ..PlanOptions::none()
-            },
-        ),
-        ("all", PlanOptions::all()),
-    ];
     let configs = std::iter::once(("default", parity_config())).chain(plan_compiling_ablations());
     for (config_name, config) in configs {
         let (radicand_e, grads_e) = eager_reference(&data, &config);
         for threads in [1usize, 4] {
             let _threads = stgnn_tensor::par::scoped_threads(threads);
-            for (name, opts) in &variants {
-                let at = format!("{config_name}, pass `{name}`, {threads} thread(s)");
-                let (radicand_p, grads_p) = plan_run(&data, &config, *opts);
-                assert_eq!(
-                    radicand_e.to_bits(),
-                    radicand_p.to_bits(),
-                    "radicand drifted: {at}"
-                );
-                assert_eq!(grads_e.len(), grads_p.len());
-                for (i, (ge, gp)) in grads_e.iter().zip(&grads_p).enumerate() {
-                    assert_bits_eq(ge, gp, &format!("param {i} grad: {at}"));
-                }
+            let at = format!("{config_name}, {threads} thread(s)");
+            let (radicand_p, grads_p) = plan_run(&data, &config);
+            assert_eq!(
+                radicand_e.to_bits(),
+                radicand_p.to_bits(),
+                "radicand drifted: {at}"
+            );
+            assert_eq!(grads_e.len(), grads_p.len());
+            for (i, (ge, gp)) in grads_e.iter().zip(&grads_p).enumerate() {
+                assert_bits_eq(ge, gp, &format!("param {i} grad: {at}"));
             }
         }
     }
@@ -334,7 +312,7 @@ fn plan_compiling_ablations() -> Vec<(&'static str, StgnnConfig)> {
 
 /// Each plan-compiling ablation's inference plan must predict
 /// bit-identically to eager at 1 and 4 kernel threads (their training
-/// batches are covered by the optimizer-pass test above).
+/// batches are covered by the test above).
 #[test]
 fn every_plan_compiling_ablation_infers_bitwise_like_eager() {
     let data = dataset(308);

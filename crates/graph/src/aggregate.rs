@@ -143,11 +143,14 @@ mod tests {
             let out = agg.forward(&g, &g.leaf(h.clone())).value();
             (agg.avg, out)
         };
-        stgnn_tensor::par::set_thread_override(Some(1));
-        let (avg1, out1) = run();
-        stgnn_tensor::par::set_thread_override(Some(4));
-        let (avg4, out4) = run();
-        stgnn_tensor::par::set_thread_override(None);
+        let (avg1, out1) = {
+            let _threads = stgnn_tensor::par::scoped_threads(1);
+            run()
+        };
+        let (avg4, out4) = {
+            let _threads = stgnn_tensor::par::scoped_threads(4);
+            run()
+        };
         assert_eq!(avg1.data(), avg4.data(), "avg matrix differs by threads");
         assert_eq!(out1.data(), out4.data(), "forward differs by threads");
     }

@@ -383,11 +383,14 @@ mod tests {
         let n = 64;
         let edges: Vec<(usize, usize, f32)> = (0..n).map(|i| (i, (i * 31 + 7) % n, 1.0)).collect();
         let g = DiGraph::from_edges(n, &edges);
-        stgnn_tensor::par::set_thread_override(Some(1));
-        let a1 = g.gcn_normalized();
-        stgnn_tensor::par::set_thread_override(Some(4));
-        let a4 = g.gcn_normalized();
-        stgnn_tensor::par::set_thread_override(None);
+        let a1 = {
+            let _threads = stgnn_tensor::par::scoped_threads(1);
+            g.gcn_normalized()
+        };
+        let a4 = {
+            let _threads = stgnn_tensor::par::scoped_threads(4);
+            g.gcn_normalized()
+        };
         assert_eq!(a1.data(), a4.data());
     }
 }

@@ -5,7 +5,7 @@
 //! ([`crate::autograd::Graph`]) calls [`Op::forward`] when a `Var` method
 //! records a node and [`Op::backward`] from the reverse sweep; compiled-plan
 //! replay ([`crate::plan::Plan`]) calls the same two functions for every
-//! node that fusion or an in-place rewrite did not take over. Because both
+//! node except matmuls, which it sends through the layout GEMM. Because both
 //! engines run the identical formula, their bit-identity holds by
 //! construction — the finite-difference gradchecks in this module's tests
 //! are the independent reference that each formula is *right*.
@@ -219,11 +219,6 @@ impl Op {
     /// The gradient contribution to each operand, in parent order, given
     /// the output gradient `g`, the operand values, the node's own output
     /// value `out` and its [`Saved`] slot.
-    ///
-    /// Which values a formula reads is declared by
-    /// [`Op::backward_reads_operands`] and [`Op::backward_reads_output`];
-    /// plan replay's in-place rewrites rely on both, so change them with
-    /// the formula.
     pub fn backward(
         &self,
         g: &Tensor,
@@ -410,48 +405,6 @@ impl Op {
             }
             Op::ConcatCols => concat_cols_bw(g, inputs, out)?,
         })
-    }
-
-    /// Whether [`Op::backward`] reads an operand's value or shape. A
-    /// training plan may let this node overwrite an operand's buffer only
-    /// when it does not.
-    pub(crate) fn backward_reads_operands(&self) -> bool {
-        !matches!(
-            self,
-            Op::Leaf
-                | Op::Param
-                | Op::Add
-                | Op::Sub
-                | Op::AddScalar(_)
-                | Op::MulScalar(_)
-                | Op::Neg
-                | Op::Elu
-                | Op::Sigmoid
-                | Op::Tanh
-                | Op::Exp
-                | Op::Sqrt
-                | Op::SoftmaxRows
-                | Op::Dropout { .. }
-                | Op::AddRowBroadcast
-                | Op::AddColBroadcast
-        )
-    }
-
-    /// Whether [`Op::backward`] reads the node's own output value or shape.
-    /// A training plan may hand this node's buffer to a consumer only when
-    /// it does not.
-    pub(crate) fn backward_reads_output(&self) -> bool {
-        matches!(
-            self,
-            Op::Elu
-                | Op::Sigmoid
-                | Op::Tanh
-                | Op::Exp
-                | Op::Sqrt
-                | Op::SoftmaxRows
-                | Op::RowsMaxPool { .. }
-                | Op::ConcatCols
-        )
     }
 
     /// The single operand of a unary op.
@@ -945,65 +898,6 @@ mod tests {
                     "{what}: never records a {op} node"
                 );
                 check_grad(&what, case, 2e-2);
-            }
-        }
-    }
-
-    /// Each op that declares it does not read its operands (or its output)
-    /// in backward must compute the same gradients with those values
-    /// replaced by a stand-in — the condition plan replay's in-place
-    /// rewrites rely on.
-    #[test]
-    fn declared_backward_reads_match_the_formulas() {
-        let stand_in = Tensor::from_scalar(0.0);
-        let same = |a: &[Tensor], b: &[Tensor]| {
-            a.len() == b.len()
-                && a.iter().zip(b).all(|(x, y)| {
-                    x.shape() == y.shape()
-                        && x.data()
-                            .iter()
-                            .zip(y.data())
-                            .all(|(p, q)| p.to_bits() == q.to_bits())
-                })
-        };
-        for op in every_op() {
-            for case in gradchecks(&op) {
-                let g = Graph::new();
-                let x = g.leaf(case.x0.clone());
-                (case.build)(&g, &x);
-                let tape = g.snapshot();
-                // Leaves and params have no backward to check.
-                let Some(node) = tape
-                    .nodes
-                    .iter()
-                    .find(|n| n.op == op && !n.parents.is_empty())
-                else {
-                    continue;
-                };
-                let inputs: Vec<&Tensor> =
-                    node.parents.iter().map(|&p| &tape.nodes[p].value).collect();
-                let mut saved = Saved::Empty;
-                let mut k = 0u32;
-                let mut draw = || {
-                    k += 1;
-                    (k % 3) as f32 / 3.0
-                };
-                let out = op.forward(&inputs, &mut saved, &mut draw).unwrap();
-                let mut k = 0.0f32;
-                let gout = Tensor::filled_with(out.shape().clone(), || {
-                    k += 1.0;
-                    (0.7 * k).cos()
-                });
-                let want = op.backward(&gout, &inputs, &out, &saved).unwrap();
-                if !op.backward_reads_operands() {
-                    let blind = vec![&stand_in; inputs.len()];
-                    let got = op.backward(&gout, &blind, &out, &saved).unwrap();
-                    assert!(same(&want, &got), "{op} reads an operand");
-                }
-                if !op.backward_reads_output() {
-                    let got = op.backward(&gout, &inputs, &stand_in, &saved).unwrap();
-                    assert!(same(&want, &got), "{op} reads its output");
-                }
             }
         }
     }

@@ -22,11 +22,10 @@
 //! Sizing: `STGNN_THREADS` (an integer ≥ 1) overrides
 //! `std::thread::available_parallelism()`; `STGNN_THREADS=1` — or a
 //! single-core machine — short-circuits every dispatch to a plain inline
-//! loop with zero synchronisation. Tests force a thread count at runtime
-//! with [`scoped_threads`], an RAII guard that serialises every test that
-//! reads or sets the override; single-process benchmarks may flip it
-//! directly with [`set_thread_override`]. Kernel *results* never depend on
-//! the width, so only code that observes the width itself needs the guard.
+//! loop with zero synchronisation. Tests and benchmarks force a thread
+//! count at runtime with [`scoped_threads`], an RAII guard that serialises
+//! every caller that sets the override. Kernel *results* never depend on
+//! the width, so only code that sets or observes the width needs the guard.
 
 use std::collections::VecDeque;
 use std::ops::Range;
@@ -96,17 +95,7 @@ pub fn configured_threads() -> usize {
     })
 }
 
-/// Forces (`Some(n)`) or restores (`None`) the dispatch width at runtime.
-///
-/// Exists for single-process benchmarks that compare thread counts; tests
-/// use [`scoped_threads`] instead. Concurrent flips cannot change kernel
-/// results (they are bit-for-bit deterministic in the thread count), only
-/// what [`effective_threads`] reports.
-pub fn set_thread_override(n: Option<usize>) {
-    THREAD_OVERRIDE.store(n.map_or(0, |n| n.clamp(1, MAX_THREADS)), Ordering::Relaxed);
-}
-
-/// Holds the thread override for one test: [`scoped_threads`] takes the
+/// Holds the thread override for one caller: [`scoped_threads`] takes the
 /// process-wide override lock and sets the width; dropping the guard (also
 /// during a panic unwind) restores the previous override, then releases
 /// the lock.
@@ -118,9 +107,9 @@ pub struct ThreadScope {
 /// Forces the dispatch width to `n` (clamped to `1..=MAX_THREADS`) until
 /// the returned guard drops.
 ///
-/// Every test that sets or reads the override goes through this, so
-/// concurrently running tests never observe each other's width. Guards do
-/// not nest: take a second one only after the first has dropped.
+/// This is the only way to set the override, so concurrently running tests
+/// never observe each other's width. Guards do not nest: take a second one
+/// only after the first has dropped.
 pub fn scoped_threads(n: usize) -> ThreadScope {
     static OVERRIDE_LOCK: Mutex<()> = Mutex::new(());
     let lock = lock(&OVERRIDE_LOCK);

@@ -2,7 +2,7 @@
 // the tape once in `Plan::compile`; replay then indexes the per-node slot
 // vectors with those proven-in-bounds ids on the hot path.
 //! Compiled tape replay: execute one traced graph many times without
-//! rebuilding it — now through an optimizing compiler.
+//! rebuilding it.
 //!
 //! STGNN-DJD's tape has a fixed structure for a given station count and
 //! window configuration — every training step and every serve forward
@@ -21,28 +21,18 @@
 //! pool misses** — the allocator is never touched.
 //!
 //! Replay runs the same op table as eager execution: every node calls
-//! [`Op::forward`] / [`Op::backward`], except where compilation picked one
-//! of three kernels (see `DESIGN.md` §12):
+//! [`Op::forward`] / [`Op::backward`], except that every matmul runs
+//! through the layout-flag GEMM microkernel — forward `a·b`, backward
+//! `g·bᵀ` and `aᵀ·g` with the transposes as layout flags instead of
+//! materialised copies (see `DESIGN.md` §12).
 //!
-//! 1. **GEMM** — every matmul runs through the layout-flag GEMM
-//!    microkernel: forward `a·b`, backward `g·bᵀ` and `aᵀ·g` with the
-//!    transposes as layout flags instead of materialised copies.
-//! 2. **Elementwise fusion** ([`PlanOptions::fuse`]) — chains of
-//!    zip/broadcast/unary elementwise ops collapse into one cache-resident
-//!    sweep; backward recomputes the chain per element and releases the
-//!    folded gradient at the chain head's original sweep position.
-//! 3. **In-place rewrites** ([`PlanOptions::in_place`]) — where liveness
-//!    allows, an op overwrites its dying parent's buffer instead of cycling
-//!    a fresh one through the pool, and gradient accumulation adds into the
-//!    existing slot.
-//!
-//! Replay remains **bit-identical** to eager execution at any thread
-//! count: each kernel preserves every output element's exact f32
-//! operation sequence and every gradient deposit's sweep position (see the
-//! legality notes on each pass). Dropout nodes are never fused, so a plan
-//! step consumes the RNG stream exactly like the eager step it replaces.
-//! The parity suite in `crates/core/tests/plan_parity.rs` proves this per
-//! pass, per thread count, down to the bit.
+//! Replay is therefore **bit-identical** to eager execution at any thread
+//! count: it runs the eager formulas in the eager order, and the GEMM
+//! keeps every output element's multiply-add sequence. Dropout nodes draw
+//! in node order, so a plan step consumes the RNG stream exactly like the
+//! eager step it replaces. The parity suite in
+//! `crates/core/tests/plan_parity.rs` proves this per thread count, down
+//! to the bit.
 //!
 //! One caveat is inherent to replay: ops whose *structure* (not value) was
 //! derived from input data at trace time — [`Op::RowsMaxPool`] group lists
@@ -52,20 +42,15 @@
 //! aggregators, whose groups cover all stations) replay correctly.
 
 mod exec;
-mod fuse;
 mod ir;
-mod passes;
 
 pub use exec::PlanExec;
-pub use ir::{
-    DerivedFn, DerivedSpec, LeafBinding, PassReport, PlanNodeSummary, PlanOpKind, PlanOptions,
-    PlanSpec, PlanSummary,
-};
+pub use ir::{DerivedFn, LeafBinding, PlanSpec};
 
 use crate::autograd::{Op, Param, ParamSet, TapeSnapshot};
 use crate::error::{Error, Result};
 use crate::tensor::Tensor;
-use ir::{FusedChain, NodeBinding, PlanNode, Role};
+use ir::{NodeBinding, PlanNode};
 use std::collections::HashMap;
 use std::rc::Rc;
 
@@ -82,40 +67,16 @@ pub struct Plan {
     pub(crate) loss: Option<usize>,
     pub(crate) num_inputs: usize,
     pub(crate) has_dropout: bool,
-    /// Node ids any derived closure reads — pinned against erasure and
-    /// in-place clobbering.
-    pub(crate) derived_deps: Vec<usize>,
-    /// Fused chains, indexed by [`Role::FusedOut`].
-    pub(crate) chains: Vec<FusedChain>,
-    /// Per node: the parent slot whose buffer this node steals and
-    /// overwrites in place (`None` = normal output).
-    pub(crate) in_place: Vec<Option<usize>>,
-    pub(crate) options: PlanOptions,
-    pub(crate) report: PassReport,
-    /// Shared scalar parked in a slot whose buffer was stolen — cloning it
-    /// is an `Arc` bump, so in-place rewrites stay allocation-free.
-    pub(crate) placeholder: Tensor,
 }
 
 impl Plan {
-    /// Compiles a traced tape into a replayable plan with every optimizer
-    /// pass enabled ([`PlanOptions::default`]).
+    /// Compiles a traced tape into a replayable plan.
     ///
     /// Validates the tape topology (parents strictly precede children),
     /// resolves every `Param` node against `params` by name, and checks the
     /// spec's bindings point at leaf nodes. Returns
     /// [`Error::InvalidArgument`] on any structural defect.
     pub fn compile(snapshot: &TapeSnapshot, params: &ParamSet, spec: PlanSpec) -> Result<Self> {
-        Self::compile_with(snapshot, params, spec, PlanOptions::default())
-    }
-
-    /// [`Plan::compile`] with an explicit optimizer-pass selection.
-    pub fn compile_with(
-        snapshot: &TapeSnapshot,
-        params: &ParamSet,
-        spec: PlanSpec,
-        options: PlanOptions,
-    ) -> Result<Self> {
         let n = snapshot.nodes.len();
         if n == 0 {
             return Err(Error::InvalidArgument(
@@ -147,7 +108,6 @@ impl Plan {
 
         let mut nodes = Vec::with_capacity(n);
         let mut derived: Vec<DerivedFn> = Vec::new();
-        let mut derived_deps: Vec<usize> = Vec::new();
         let mut param_links = Vec::new();
         let mut init_values = Vec::with_capacity(n);
         let mut has_dropout = false;
@@ -166,16 +126,8 @@ impl Plan {
             }
             let binding = match (&info.op, bindings.remove(&id)) {
                 (Op::Leaf, Some(LeafBinding::Input(i))) => NodeBinding::Input(i),
-                (Op::Leaf, Some(LeafBinding::Derived(spec))) => {
-                    for &dep in &spec.deps {
-                        if dep >= id {
-                            return Err(Error::InvalidArgument(format!(
-                                "derived leaf {id} declares dep {dep}, which does not precede it"
-                            )));
-                        }
-                    }
-                    derived_deps.extend_from_slice(&spec.deps);
-                    derived.push(spec.f);
+                (Op::Leaf, Some(LeafBinding::Derived(f))) => {
+                    derived.push(f);
                     NodeBinding::Derived(derived.len() - 1)
                 }
                 (Op::Leaf, None) => NodeBinding::Constant,
@@ -202,16 +154,11 @@ impl Plan {
             if matches!(info.op, Op::Dropout { .. }) {
                 has_dropout = true;
             }
-            let role = match (&info.op, &binding) {
-                (Op::Matmul, NodeBinding::Compute) => Role::Gemm,
-                _ => Role::Eager,
-            };
             nodes.push(PlanNode {
                 op: info.op.clone(),
                 parents: info.parents.clone(),
                 shape: info.shape.clone(),
                 binding,
-                role,
             });
             init_values.push(info.value.clone());
         }
@@ -227,7 +174,7 @@ impl Plan {
                 )));
             }
         }
-        let mut plan = Plan {
+        Ok(Plan {
             nodes,
             derived,
             param_links,
@@ -236,34 +183,7 @@ impl Plan {
             loss: spec.loss,
             num_inputs,
             has_dropout,
-            derived_deps,
-            chains: Vec::new(),
-            in_place: vec![None; n],
-            options,
-            report: PassReport::default(),
-            placeholder: Tensor::from_scalar(0.0),
-        };
-        plan.optimize();
-        Ok(plan)
-    }
-
-    /// Runs the enabled optimizer passes in dependency order: fusion
-    /// rewrites roles first, then the purely-local in-place pass marks
-    /// steals over the final roles.
-    fn optimize(&mut self) {
-        let mut report = PassReport {
-            gemm_nodes: self.nodes.iter().filter(|n| n.role == Role::Gemm).count(),
-            ..PassReport::default()
-        };
-        if self.options.fuse {
-            let (chains, ops) = fuse::fuse_chains(self);
-            report.fused_chains = chains;
-            report.fused_ops = ops;
-        }
-        if self.options.in_place {
-            report.in_place_nodes = passes::mark_in_place(self);
-        }
-        self.report = report;
+        })
     }
 
     /// Number of nodes in the compiled schedule.
@@ -285,73 +205,5 @@ impl Plan {
     /// the RNG-taking entry points.
     pub fn needs_rng(&self) -> bool {
         self.has_dropout
-    }
-
-    /// The optimizer options this plan was compiled with.
-    pub fn options(&self) -> PlanOptions {
-        self.options
-    }
-
-    /// What each optimizer pass did at compile time.
-    pub fn pass_report(&self) -> PassReport {
-        self.report
-    }
-
-    /// A structural summary for external validators (`stgnn-analyze`): one
-    /// entry per node with its optimizer classification and *effective*
-    /// parent reads.
-    pub fn summary(&self) -> PlanSummary {
-        let nodes = self
-            .nodes
-            .iter()
-            .map(|node| {
-                let (kind, parents) = match (&node.binding, node.role) {
-                    (NodeBinding::Constant, _) => (PlanOpKind::Constant, node.parents.clone()),
-                    (NodeBinding::Input(_), _) => (PlanOpKind::Input, node.parents.clone()),
-                    (NodeBinding::Derived(_), _) => (PlanOpKind::Derived, node.parents.clone()),
-                    (NodeBinding::Param(_), _) => (PlanOpKind::Param, node.parents.clone()),
-                    (NodeBinding::Compute, role) => match role {
-                        Role::Eager => (PlanOpKind::Eager, node.parents.clone()),
-                        Role::Gemm => (PlanOpKind::Gemm, node.parents.clone()),
-                        Role::Erased => (PlanOpKind::Erased, node.parents.clone()),
-                        Role::FusedLead { .. } => (PlanOpKind::FusedLead, node.parents.clone()),
-                        Role::FusedOut { chain } => (
-                            PlanOpKind::FusedOut {
-                                stages: self.chains[chain].stages.len(),
-                            },
-                            {
-                                let src = self.chains[chain].src;
-                                let mut p = vec![src.0];
-                                p.extend(src.1);
-                                p
-                            },
-                        ),
-                    },
-                };
-                let fused_cost_per_elem = match node.role {
-                    Role::FusedOut { chain } => {
-                        let c = &self.chains[chain];
-                        let lead = match c.kind {
-                            ir::LeadKind::Map(m) => m.cost_weight(),
-                            _ => 1,
-                        };
-                        lead + c.stages.iter().map(|m| m.cost_weight()).sum::<u64>()
-                    }
-                    _ => 0,
-                };
-                PlanNodeSummary {
-                    op: node.op.name(),
-                    kind,
-                    parents,
-                    shape: node.shape.clone(),
-                    fused_cost_per_elem,
-                }
-            })
-            .collect();
-        PlanSummary {
-            nodes,
-            report: self.report,
-            options: self.options,
-        }
     }
 }

@@ -255,28 +255,6 @@ impl Tensor {
         self.zip_map(rhs, "add", |a, b| a + b)
     }
 
-    /// Elementwise sum into `self`'s buffer: `self[i] += rhs[i]`. Produces
-    /// the identical bits to [`Tensor::add`] without cycling a fresh buffer
-    /// through the pool; copy-on-write still protects shared storage.
-    pub fn add_assign(&mut self, rhs: &Tensor) -> Result<()> {
-        if self.shape != rhs.shape {
-            return Err(Error::ShapeMismatch {
-                op: "add_assign",
-                lhs: self.shape.dims().to_vec(),
-                rhs: rhs.shape.dims().to_vec(),
-            });
-        }
-        let b = rhs.data();
-        let buf = self.data_mut();
-        par::for_each_row_chunk_mut(buf, 1, PAR_GRAIN_OPS, |first, window| {
-            let end = first + window.len();
-            for (o, &y) in window.iter_mut().zip(&b[first..end]) {
-                *o += y;
-            }
-        });
-        Ok(())
-    }
-
     /// Elementwise difference.
     pub fn sub(&self, rhs: &Tensor) -> Result<Tensor> {
         self.zip_map(rhs, "sub", |a, b| a - b)

@@ -262,31 +262,23 @@ fn structured_ops_replay_bit_identical() {
     }
 }
 
-#[test]
-fn derived_leaves_recompute_from_upstream_values() {
-    // A derived leaf mirrors eager's out-of-tape computation: here a mask
-    // thresholded from an upstream activation, like the flow-conservation
-    // gate the model computes from fused flow estimates.
+/// Builds the derived-leaf test expression on a graph, returning the input
+/// leaf, the mask leaf, the loss root and the node id the mask derives from.
+type DerivedBuild = fn(&Graph, &Tensor, &Var) -> (Var, Var, Var, usize);
+
+/// Traces `build` once, binds its mask leaf as a derived leaf recomputed
+/// from node `read` (returned by `build`), and checks three fresh replays
+/// against eager re-traces, bit for bit.
+fn check_derived_leaf(seed: u64, build: DerivedBuild) {
     let n = 4;
-    let mut rng = StdRng::seed_from_u64(23);
+    let mut rng = StdRng::seed_from_u64(seed);
     let mut pset = ParamSet::new();
     let w = pset.add("w", random_tensor(&mut rng, n, n));
-
-    let mask_of = |h: &Tensor| h.map(|v| if v > 0.5 { 1.0 } else { 0.0 });
-
-    let build = |g: &Graph, x: &Tensor, wv: &Var| -> (Var, Var, Var) {
-        let xl = g.leaf(x.clone());
-        let h = xl.matmul(wv).sigmoid();
-        let mask = g.leaf(mask_of(&h.value()));
-        let root = h.mul(&mask).square().mean_all();
-        (xl, mask, root)
-    };
 
     let trace_x = random_tensor(&mut rng, n, n);
     let g = Graph::new();
     let wv = g.param(&w);
-    let (xl, mask, root) = build(&g, &trace_x, &wv);
-    let h_id = mask.id() - 1; // sigmoid node traced immediately before the mask leaf
+    let (xl, mask, root, read) = build(&g, &trace_x, &wv);
     let plan = Plan::compile(
         &g.snapshot(),
         &pset,
@@ -295,7 +287,7 @@ fn derived_leaves_recompute_from_upstream_values() {
                 (xl.id(), LeafBinding::Input(0)),
                 (
                     mask.id(),
-                    LeafBinding::derived(vec![h_id], move |values| Ok(mask_of(&values[h_id]))),
+                    LeafBinding::derived(move |values| Ok(mask_of(&values[read]))),
                 ),
             ],
             roots: vec![root.id()],
@@ -311,7 +303,7 @@ fn derived_leaves_recompute_from_upstream_values() {
         pset.zero_grads();
         let ge = Graph::new();
         let we = ge.param(&w);
-        let (_, _, eroot) = build(&ge, &x, &we);
+        let (_, _, eroot, _) = build(&ge, &x, &we);
         eroot.backward();
         let eager_value = eroot.value();
         let eager_grad = w.grad();
@@ -325,6 +317,35 @@ fn derived_leaves_recompute_from_upstream_values() {
         );
         w.with_grad(|pg| assert_bits_eq(pg, &eager_grad, "derived grad"));
     }
+}
+
+fn mask_of(h: &Tensor) -> Tensor {
+    h.map(|v| if v > 0.5 { 1.0 } else { 0.0 })
+}
+
+#[test]
+fn derived_leaves_recompute_from_upstream_values() {
+    // A derived leaf mirrors eager's out-of-tape computation: here a mask
+    // thresholded from an upstream activation, like the flow-conservation
+    // gate the model computes from fused flow estimates.
+    check_derived_leaf(23, |g, x, wv| {
+        let xl = g.leaf(x.clone());
+        let h = xl.matmul(wv).sigmoid();
+        let mask = g.leaf(mask_of(&h.value()));
+        let root = h.mul(&mask).square().mean_all();
+        (xl, mask, root, h.id())
+    });
+    // The closure reads a node in the middle of an elementwise chain whose
+    // only tape reader is the next stage: replay must still hold that
+    // node's live value when the derived leaf is recomputed.
+    check_derived_leaf(31, |g, x, wv| {
+        let xl = g.leaf(x.clone());
+        let mid = xl.matmul(wv).tanh().exp();
+        let out = mid.mul_scalar(0.5).sigmoid();
+        let mask = g.leaf(mask_of(&mid.value()));
+        let root = out.mul(&mask).square().mean_all();
+        (xl, mask, root, mid.id())
+    });
 }
 
 #[test]
