@@ -5,8 +5,10 @@
 //!    `W₉ = [W₉ᵃ; W₉ᵇ]` broadcast (O(n²) after one n×n matmul) versus the
 //!    literal Eq 15 pairing that concatenates `[h_i ‖ h_j]` for every pair
 //!    (O(n³)). Both produce identical logits; the bench quantifies the win.
-//! 2. **Zero-skipping matmul** — the sparse-aware inner loop on realistic
-//!    (mostly-zero) flow matrices versus dense random input.
+//! 2. **Zero-skipping matmul** — the eager `Tensor::matmul`'s per-entry
+//!    `av == 0` row skip on realistic (mostly-zero) flow matrices versus
+//!    dense random input. (The plan's layout GEMM has no skip; DESIGN
+//!    §12.2.)
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;

@@ -185,39 +185,6 @@ fn bench_par_transpose(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_matmul_density(c: &mut Criterion) {
-    // The density probe: matmul samples the lhs and takes a
-    // skip-multiplications-by-zero inner loop when it looks sparse.
-    // Bench note — on 512×512 with a 90%-zero lhs (the regime of
-    // ReLU-masked flow matrices), the sparse path runs ~3–4× faster than
-    // the dense path on the same shapes, while an all-dense lhs stays on
-    // the dense path and pays only the probe (~1k strided reads, <1% of
-    // one matmul). `dense` vs `sparse` below measures exactly that split.
-    let mut group = c.benchmark_group("matmul_density_probe");
-    group.sample_size(10);
-    let mut rng = StdRng::seed_from_u64(9);
-    let n = 512usize;
-    let rhs = random_matrix(&mut rng, n, n);
-    let dense = random_matrix(&mut rng, n, n);
-    let sparse_data: Vec<f32> = (0..n * n)
-        .map(|_| {
-            if rng.gen_range(0.0..1.0f32) < 0.9 {
-                0.0
-            } else {
-                rng.gen_range(-1.0..1.0)
-            }
-        })
-        .collect();
-    let sparse = Tensor::from_vec(Shape::matrix(n, n), sparse_data).unwrap();
-    group.bench_function("dense", |b| {
-        b.iter(|| black_box(dense.matmul(&rhs).unwrap()));
-    });
-    group.bench_function("sparse", |b| {
-        b.iter(|| black_box(sparse.matmul(&rhs).unwrap()));
-    });
-    group.finish();
-}
-
 fn bench_par_aggregate(c: &mut Criterion) {
     // MeanAggregator build: the row-parallel neighbourhood-matrix fill.
     let mut group = c.benchmark_group("par_mean_aggregate");
@@ -271,7 +238,6 @@ criterion_group!(
     bench_par_matmul,
     bench_par_softmax,
     bench_par_transpose,
-    bench_matmul_density,
     bench_par_aggregate,
     bench_tensor_clone_cow,
     bench_param_holder,

@@ -18,8 +18,10 @@
 //! ```
 //!
 //! The header carries a CRC-32 (IEEE) and exact byte length of the payload,
-//! so truncation and bit-flips are told apart and both are rejected with a
-//! typed [`CheckpointError`] — never a panic, never a partial load. The
+//! so truncation, bit-flips and trailing bytes are told apart and all are
+//! rejected with a typed [`CheckpointError`] — never a panic, never a
+//! partial load. The envelope is `stgnn_faults::fsio`'s framed codec, shared
+//! with the online loop's state file. The
 //! payload is line-oriented text; every float is stored as its IEEE-754 bit
 //! pattern in hex (`f32`→8 digits, `f64`→16), because bitwise resume
 //! fidelity is the whole point and decimal round-tripping is an avoidable
@@ -29,13 +31,12 @@
 use rand::rngs::StdRng;
 use std::fmt;
 use std::path::Path;
-use stgnn_faults::fsio::{atomic_write, crc32};
+use stgnn_faults::fsio::{read_framed, write_framed, FrameError};
 use stgnn_tensor::optim::AdamState;
 use stgnn_tensor::shape::Shape;
 use stgnn_tensor::Tensor;
 
 const MAGIC: &str = "stgnn-ckpt v1";
-const MAGIC_PREFIX: &str = "stgnn-ckpt ";
 
 /// Why a checkpoint could not be loaded. `resume_from` surfaces these as
 /// typed errors so callers (and the corruption tests) can tell apart
@@ -126,6 +127,21 @@ impl std::error::Error for CheckpointError {
 impl From<std::io::Error> for CheckpointError {
     fn from(e: std::io::Error) -> Self {
         CheckpointError::Io(e)
+    }
+}
+
+impl From<FrameError> for CheckpointError {
+    fn from(e: FrameError) -> Self {
+        match e {
+            FrameError::VersionSkew { found, .. } => CheckpointError::VersionSkew { found },
+            FrameError::Truncated { expected, actual } => {
+                CheckpointError::Truncated { expected, actual }
+            }
+            FrameError::ChecksumMismatch { expected, actual } => {
+                CheckpointError::ChecksumMismatch { expected, actual }
+            }
+            FrameError::Malformed(msg) => CheckpointError::Malformed(msg),
+        }
     }
 }
 
@@ -300,70 +316,19 @@ impl TrainCheckpoint {
         if let Some(e) = stgnn_faults::check_io("checkpoint::write") {
             return Err(CheckpointError::Io(e));
         }
-        let payload = self.to_payload();
-        let crc = crc32(&payload);
-        atomic_write(path, |w| {
-            writeln!(w, "{MAGIC}")?;
-            writeln!(w, "crc32 {crc:08x} len {}", payload.len())?;
-            w.write_all(&payload)
-        })?;
+        write_framed(path, MAGIC, &self.to_payload())?;
         Ok(())
     }
 
     /// Reads and fully validates a checkpoint file. Any defect — torn
-    /// file, bit rot, foreign version, structural damage — is a typed
-    /// error; a returned checkpoint is completely parsed.
+    /// file, bit rot, foreign version, trailing bytes, structural damage —
+    /// is a typed error; a returned checkpoint is completely parsed.
     pub fn load(path: impl AsRef<Path>) -> Result<TrainCheckpoint, CheckpointError> {
         if let Some(e) = stgnn_faults::check_io("checkpoint::read") {
             return Err(CheckpointError::Io(e));
         }
         let bytes = std::fs::read(path)?;
-        let (magic, rest) = split_line(&bytes)
-            .ok_or_else(|| CheckpointError::Malformed("missing magic line".into()))?;
-        if magic != MAGIC {
-            if magic.starts_with(MAGIC_PREFIX) {
-                return Err(CheckpointError::VersionSkew {
-                    found: magic.to_string(),
-                });
-            }
-            return Err(CheckpointError::Malformed(format!(
-                "not a checkpoint file (first line {magic:?})"
-            )));
-        }
-        let (crc_line, payload) = split_line(rest)
-            .ok_or_else(|| CheckpointError::Malformed("missing crc header line".into()))?;
-        let mut f = crc_line.split_whitespace();
-        let (expected_crc, expected_len) = match (f.next(), f.next(), f.next(), f.next(), f.next())
-        {
-            (Some("crc32"), Some(crc), Some("len"), Some(len), None) => {
-                let crc = u32::from_str_radix(crc, 16)
-                    .map_err(|_| CheckpointError::Malformed("bad crc field".into()))?;
-                let len: usize = len
-                    .parse()
-                    .map_err(|_| CheckpointError::Malformed("bad len field".into()))?;
-                (crc, len)
-            }
-            _ => {
-                return Err(CheckpointError::Malformed(format!(
-                    "bad crc header line {crc_line:?}"
-                )))
-            }
-        };
-        if payload.len() < expected_len {
-            return Err(CheckpointError::Truncated {
-                expected: expected_len,
-                actual: payload.len(),
-            });
-        }
-        let payload = &payload[..expected_len];
-        let actual_crc = crc32(payload);
-        if actual_crc != expected_crc {
-            return Err(CheckpointError::ChecksumMismatch {
-                expected: expected_crc,
-                actual: actual_crc,
-            });
-        }
-        Self::from_payload(payload)
+        Self::from_payload(read_framed(&bytes, MAGIC)?)
     }
 
     fn to_payload(&self) -> Vec<u8> {
@@ -522,12 +487,6 @@ impl TrainCheckpoint {
     pub fn dropout_rng(&self) -> StdRng {
         StdRng::from_state(self.dropout_rng)
     }
-}
-
-fn split_line(bytes: &[u8]) -> Option<(&str, &[u8])> {
-    let nl = bytes.iter().position(|&b| b == b'\n')?;
-    let line = std::str::from_utf8(&bytes[..nl]).ok()?;
-    Some((line, &bytes[nl + 1..]))
 }
 
 fn join_f32_bits(key: &str, values: &[f32]) -> String {
@@ -845,14 +804,20 @@ mod tests {
 
     /// A passing checksum over a structurally damaged payload must still be
     /// rejected (Malformed), proving the parser validates structure beyond
-    /// the CRC.
+    /// the CRC; so must a sound checkpoint followed by bytes past its
+    /// declared length.
     #[test]
     fn structurally_damaged_payload_with_valid_crc_is_malformed() {
+        let _quiet = no_faults();
         let path = tmp("structural");
-        let payload = b"fingerprint x\nepoch notanumber\n";
-        let crc = crc32(payload);
-        let mut bytes = format!("{MAGIC}\ncrc32 {crc:08x} len {}\n", payload.len()).into_bytes();
-        bytes.extend_from_slice(payload);
+        write_framed(&path, MAGIC, b"fingerprint x\nepoch notanumber\n").unwrap();
+        assert!(matches!(
+            TrainCheckpoint::load(&path),
+            Err(CheckpointError::Malformed(_))
+        ));
+        write_framed(&path, MAGIC, &sample().to_payload()).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes.extend_from_slice(b"epoch 4\n");
         std::fs::write(&path, &bytes).unwrap();
         assert!(matches!(
             TrainCheckpoint::load(&path),

@@ -21,7 +21,7 @@
 //!   [`stgnn_data::FlowSeries`] is maintained **incrementally** (record /
 //!   retract / slide) and proven bit-identical to a from-scratch rebuild.
 //! * [`state`] — the loop's phase machine, persisted crash-safely with
-//!   `fsio::atomic_write` in the same CRC-stamped style as `stgnn-ckpt`.
+//!   `fsio::write_framed`, the CRC-stamped envelope `stgnn-ckpt` uses too.
 //! * [`gate`] — the promotion pipeline: `stgnn-analyze` tape validation,
 //!   holdout-RMSE regression check against the incumbent, then a shadow
 //!   phase serving mirrored slots.

@@ -2,15 +2,16 @@
 //!
 //! The loop's observable promise — "a crash in any phase resumes to a
 //! well-defined state" — rests on this file. It is written with
-//! `fsio::atomic_write` (so the path only ever holds the previous complete
-//! state or the new one, never a torn one) in the same
-//! magic + CRC-32 + line-oriented style as `stgnn-ckpt v1`, and every
-//! defect on read — truncation, bit rot, version skew — is a typed error.
+//! `fsio::write_framed` (an atomic write, so the path only ever holds the
+//! previous complete state or the new one, never a torn one) in the same
+//! magic + CRC-32 envelope as `stgnn-ckpt v1`, with a line-oriented
+//! payload, and every defect on read — truncation, bit rot, version skew,
+//! trailing bytes — is a typed error.
 
 use crate::{OnlineError, Result};
 use std::fmt;
 use std::path::Path;
-use stgnn_faults::fsio::{atomic_write, crc32};
+use stgnn_faults::fsio::{read_framed, write_framed};
 
 /// Format magic; bump on any layout change.
 const MAGIC: &str = "stgnn-online v1";
@@ -121,13 +122,7 @@ impl LoopState {
     /// Atomically persists the state: the file only ever holds the
     /// previous complete state or this one.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<()> {
-        let payload = self.to_payload();
-        let crc = crc32(&payload);
-        atomic_write(path, |w| {
-            writeln!(w, "{MAGIC}")?;
-            writeln!(w, "crc32 {crc:08x} len {}", payload.len())?;
-            w.write_all(&payload)
-        })?;
+        write_framed(path, MAGIC, &self.to_payload())?;
         Ok(())
     }
 
@@ -139,55 +134,9 @@ impl LoopState {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
             Err(e) => return Err(OnlineError::Io(e)),
         };
-        let text = String::from_utf8_lossy(&bytes);
-        let mut lines = text.lines();
-        let magic = lines.next().unwrap_or_default();
-        if magic != MAGIC {
-            return Err(OnlineError::State(format!(
-                "version skew: this build reads {MAGIC:?}, file starts with {magic:?}"
-            )));
-        }
-        let header = lines.next().unwrap_or_default();
-        let (crc_stated, len_stated) = parse_header(header)?;
-        // Payload begins after the second newline (magic line + header).
-        let payload_start = bytes
-            .iter()
-            .position(|&b| b == b'\n')
-            .and_then(|first| {
-                let second = bytes.get(first + 1..)?.iter().position(|&b| b == b'\n')?;
-                Some(first + 1 + second + 1)
-            })
-            .ok_or_else(|| OnlineError::State("missing payload".into()))?;
-        let payload = bytes.get(payload_start..).unwrap_or(&[]);
-        if payload.len() != len_stated {
-            return Err(OnlineError::State(format!(
-                "truncated: header promises {len_stated} payload bytes, found {}",
-                payload.len()
-            )));
-        }
-        let crc_actual = crc32(payload);
-        if crc_actual != crc_stated {
-            return Err(OnlineError::State(format!(
-                "checksum mismatch: header says {crc_stated:08x}, payload hashes to {crc_actual:08x}"
-            )));
-        }
+        let payload = read_framed(&bytes, MAGIC).map_err(|e| OnlineError::State(e.to_string()))?;
         parse_payload(payload).map(Some)
     }
-}
-
-fn parse_header(line: &str) -> Result<(u32, usize)> {
-    let mut parts = line.split_whitespace();
-    let (Some("crc32"), Some(crc), Some("len"), Some(len)) =
-        (parts.next(), parts.next(), parts.next(), parts.next())
-    else {
-        return Err(OnlineError::State(format!("malformed header {line:?}")));
-    };
-    let crc =
-        u32::from_str_radix(crc, 16).map_err(|_| OnlineError::State(format!("bad crc {crc:?}")))?;
-    let len = len
-        .parse()
-        .map_err(|_| OnlineError::State(format!("bad len {len:?}")))?;
-    Ok((crc, len))
 }
 
 fn parse_payload(payload: &[u8]) -> Result<LoopState> {
@@ -316,6 +265,15 @@ mod tests {
         std::fs::write(&path, &bytes[..bytes.len() - 4]).unwrap();
         let err = LoopState::load(&path).unwrap_err();
         assert!(err.to_string().contains("truncated"), "{err}");
+
+        // Bytes past the declared payload length.
+        sample().save(&path).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes.extend_from_slice(b"cycle 4\n");
+        std::fs::write(&path, &bytes).unwrap();
+        let err = LoopState::load(&path).unwrap_err();
+        assert!(matches!(err, OnlineError::State(_)), "{err}");
+        assert!(err.to_string().contains("malformed"), "{err}");
 
         // Version skew.
         std::fs::write(&path, b"stgnn-online v999\ncrc32 0 len 0\n").unwrap();

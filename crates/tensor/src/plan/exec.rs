@@ -185,9 +185,9 @@ impl Plan {
             // One gradient per parent, in parent order.
             let grads = match node.op {
                 // The table's `g·bᵀ` / `aᵀ·g` with the transposes as layout
-                // flags: the same multiply pairs in the same order, and the
-                // density probe samples the lhs in its effective layout, so
-                // the bits match `Op::backward`'s materialised transposes.
+                // flags: the same multiply pairs in the same order, so on
+                // finite operands the bits match `Op::backward`'s
+                // materialised transposes (DESIGN §12.2).
                 Op::Matmul => {
                     let (a, b) = (&exec.values[node.parents[0]], &exec.values[node.parents[1]]);
                     vec![

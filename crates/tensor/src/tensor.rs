@@ -338,13 +338,11 @@ impl Tensor {
     /// loop order, so the result is bit-for-bit identical at any thread
     /// count.
     ///
-    /// The inner loop comes in two flavours picked by a cheap deterministic
-    /// density probe of the lhs: sparse flow matrices keep the `av == 0.0`
-    /// skip (most of a flow row is zeros — skipping the whole `rhs` row is a
-    /// real win), while dense matrices (weights, hidden states) take a
-    /// branchless loop the autovectorizer handles much better. The probe
-    /// depends only on the lhs values, never on the thread count, so the
-    /// bitwise-determinism contract is unaffected.
+    /// An `av == 0.0` lhs entry skips its whole `rhs` row: one branch per
+    /// `(i, p)` pair, outside the branchless inner loop. This is the
+    /// reference the layout GEMM is tested against and the matmul of the
+    /// eager tape; DESIGN §12.2 shows why the skipping and the non-skipping
+    /// kernels agree bitwise on finite operands.
     pub fn matmul(&self, rhs: &Tensor) -> Result<Tensor> {
         let (m, k) = self.shape.as_matrix("matmul")?;
         let (k2, n) = rhs.shape.as_matrix("matmul")?;
@@ -363,29 +361,18 @@ impl Tensor {
         }
         let a = self.data();
         let b = rhs.data();
-        let dense = lhs_is_dense(a);
         let mut out = Buffer::zeroed(m * n);
         let grain = (PAR_GRAIN_OPS / (k * n).max(1)).max(1);
         par::for_each_row_chunk_mut(&mut out, n, grain, |first_row, window| {
             for (r, o_row) in window.chunks_mut(n).enumerate() {
                 let i = first_row + r;
-                let a_row = &a[i * k..(i + 1) * k];
-                if dense {
-                    for (p, &av) in a_row.iter().enumerate() {
-                        let b_row = &b[p * n..(p + 1) * n];
-                        for (o, &bv) in o_row.iter_mut().zip(b_row) {
-                            *o += av * bv;
-                        }
+                for (p, &av) in a[i * k..(i + 1) * k].iter().enumerate() {
+                    if av == 0.0 {
+                        continue;
                     }
-                } else {
-                    for (p, &av) in a_row.iter().enumerate() {
-                        if av == 0.0 {
-                            continue; // flow matrices are sparse; skipping zeros is a real win
-                        }
-                        let b_row = &b[p * n..(p + 1) * n];
-                        for (o, &bv) in o_row.iter_mut().zip(b_row) {
-                            *o += av * bv;
-                        }
+                    let b_row = &b[p * n..(p + 1) * n];
+                    for (o, &bv) in o_row.iter_mut().zip(b_row) {
+                        *o += av * bv;
                     }
                 }
             }
@@ -395,15 +382,16 @@ impl Tensor {
 
     /// Matrix product with layout flags: computes `op(self) · op(rhs)`
     /// where `op` transposes its operand when the flag is set, **without
-    /// materialising the transpose**. `matmul_layout(b, true, false)` is
-    /// bit-for-bit `self.transpose()?.matmul(b)`: per output element the
-    /// same multiply-add pairs accumulate through one chain in the same
-    /// ascending contraction order, and the density probe samples the lhs
-    /// in its *effective* (possibly transposed) layout, so even the
-    /// sparse-path zero-skips match. The inner loops are 8-wide
-    /// hand-unrolled lanes under [`GEMM_KC`] blocking, parallelised over
-    /// output rows through [`par`] like every other kernel. Compiled-plan
-    /// replay runs every matmul, forward and backward, through this kernel.
+    /// materialising the transpose** for `nn`, `tn` and `nt`. On finite
+    /// operands the result is bit-for-bit [`Tensor::matmul`] over the
+    /// materialised transposes: per output element the same multiply-add
+    /// pairs accumulate through one chain in the same ascending
+    /// contraction order. Each layout has one kernel: `nn` and `tn` the
+    /// register-blocked [`gemm_window_blocked`], `nt` the packed
+    /// [`gemm_window_nt`]; `tt` (no hot path produces it) transposes the
+    /// lhs and takes `nt`. Work is parallelised over output rows through
+    /// [`par`] like every other kernel. Compiled-plan replay runs every
+    /// matmul, forward and backward, through this kernel.
     pub fn matmul_layout(&self, rhs: &Tensor, ta: bool, tb: bool) -> Result<Tensor> {
         let (ar, ac) = self.shape.as_matrix("matmul")?;
         let (br, bc) = rhs.shape.as_matrix("matmul")?;
@@ -419,34 +407,18 @@ impl Tensor {
         if m == 0 || n == 0 || k == 0 {
             return Ok(Tensor::zeros(Shape::matrix(m, n)));
         }
+        if ta && tb {
+            return self.transpose()?.matmul_layout(rhs, false, true);
+        }
         let a = self.data();
         let b = rhs.data();
-        let dense = if ta {
-            lhs_is_dense_t(a, ar, ac)
-        } else {
-            lhs_is_dense(a)
-        };
         let mut out = Buffer::zeroed(m * n);
         let grain = (PAR_GRAIN_OPS / (k * n).max(1)).max(1);
         par::for_each_row_chunk_mut(&mut out, n, grain, |first_row, window| {
-            if !ta && tb {
-                gemm_window_nt(window, first_row, a, b, k, n, dense);
-                return;
-            }
-            if dense && !(ta && tb) {
-                // Dense lhs and a streaming rhs: the register-blocked path.
-                // (The sparse path must take the per-row zero-skips, and the
-                // tt layout is cold — both keep the streaming kernels.)
+            if tb {
+                gemm_window_nt(window, first_row, a, b, k, n);
+            } else {
                 gemm_window_blocked(window, first_row, a, b, k, n, ta, ac);
-                return;
-            }
-            for (r, o_row) in window.chunks_mut(n).enumerate() {
-                let i = first_row + r;
-                match (ta, tb) {
-                    (false, false) => gemm_row_nn(o_row, &a[i * k..(i + 1) * k], b, k, n, dense),
-                    (true, false) => gemm_row_tn(o_row, a, i, ac, b, k, n, dense),
-                    _ => gemm_row_tt(o_row, a, i, ac, b, bc, k, n, dense),
-                }
             }
         });
         Ok(Tensor::from_buffer(Shape::matrix(m, n), out))
@@ -765,101 +737,18 @@ impl Tensor {
     }
 }
 
-/// Deterministic density probe for [`Tensor::matmul`]'s lhs: samples at most
-/// 1024 evenly-strided elements and calls the matrix dense when fewer than
-/// 1/8 of the samples are exactly zero. Cheap relative to the `m·k·n`
-/// product it steers, and a function of the data alone — never of the
-/// thread count — so kernel determinism is preserved.
-pub(crate) fn lhs_is_dense(a: &[f32]) -> bool {
-    if a.is_empty() {
-        return true;
-    }
-    let stride = (a.len() / 1024).max(1);
-    let mut sampled = 0u32;
-    let mut zeros = 0u32;
-    let mut idx = 0;
-    while idx < a.len() {
-        // lint: allow(L004): idx < a.len() is the loop condition.
-        if a[idx] == 0.0 {
-            zeros += 1;
-        }
-        sampled += 1;
-        idx += stride;
-    }
-    zeros * 8 < sampled
-}
-
-/// [`lhs_is_dense`] over the flat layout of `aᵀ` for `a` stored `rows×cols`
-/// row-major, without materialising the transpose. Visits exactly the
-/// elements probing a materialised transpose would visit (same length, same
-/// stride, same order), so the verdict — and therefore the inner-loop
-/// choice — is identical to the eager materialise-then-probe path.
-pub(crate) fn lhs_is_dense_t(a: &[f32], rows: usize, cols: usize) -> bool {
-    if a.is_empty() {
-        return true;
-    }
-    debug_assert_eq!(a.len(), rows * cols);
-    let stride = (a.len() / 1024).max(1);
-    let mut sampled = 0u32;
-    let mut zeros = 0u32;
-    // Flat index `t` of the transposed layout maps to stored element
-    // (t % rows, t / rows). Track the quotient/remainder pair incrementally —
-    // `stride` is constant, so each step adds (stride / rows, stride % rows)
-    // with a single carry — instead of a div+mod per sample. Same positions,
-    // same order, same verdict; this probe runs on every transposed-lhs GEMM
-    // in the compiled backward pass, where the division was measurable.
-    let (dq, dr) = (stride / rows, stride % rows);
-    let (mut q, mut r) = (0usize, 0usize);
-    let mut t = 0;
-    while t < a.len() {
-        // lint: allow(L004): t < a.len() = rows·cols bounds r < rows, q < cols.
-        if a[r * cols + q] == 0.0 {
-            zeros += 1;
-        }
-        sampled += 1;
-        t += stride;
-        q += dq;
-        r += dr;
-        if r >= rows {
-            r -= rows;
-            q += 1;
-        }
-    }
-    zeros * 8 < sampled
-}
-
-/// One output row of `op(a)·op(b)`, both operands in natural layout:
-/// `o[j] += a_row[p]·b[p][j]` with `p` ascending — the reference accumulation
-/// order of [`Tensor::matmul`]. The inner loop is the *same* `zip` streaming
-/// loop as the eager kernel: every output element has its own accumulation
-/// chain, so LLVM vectorizes across `j` without reordering any float adds.
-/// (A hand-unrolled 8-lane version of this loop benchmarked ~4× *slower* —
-/// the indexed lane bodies defeat the autovectorizer; see
-/// `examples/gemm_bench.rs`.)
-fn gemm_row_nn(o_row: &mut [f32], a_row: &[f32], b: &[f32], _k: usize, n: usize, dense: bool) {
-    for (p, &av) in a_row.iter().enumerate() {
-        if !dense && av == 0.0 {
-            continue; // the sparse flow-matrix skip, exactly as matmul takes it
-        }
-        let b_row = &b[p * n..(p + 1) * n];
-        for (o, &bv) in o_row.iter_mut().zip(b_row) {
-            *o += av * bv;
-        }
-    }
-}
-
-/// Dense `op(a)·b` over one parallel window of output rows, register
-/// blocked: a 4-row × 16-column accumulator tile lives entirely in vector
-/// registers, so each contraction step issues eight fused multiply-adds
-/// against two `b` vector loads instead of re-walking the output row
-/// through memory (the streaming kernels' 1:3 fma-to-memory-op ratio is
-/// what held [`Tensor::matmul`] at ~2.5 GFLOP/s). Works for both the
-/// natural (`ta=false`) and transposed (`ta=true`) lhs — the lhs element
-/// is a scalar broadcast either way, only its address changes.
+/// `op(a)·b` over one parallel window of output rows, register blocked: a
+/// 4-row × 16-column accumulator tile lives entirely in vector registers,
+/// so each contraction step issues eight fused multiply-adds against two
+/// `b` vector loads instead of re-walking the output row through memory
+/// (the streaming loop's 1:3 fma-to-memory-op ratio is what held
+/// [`Tensor::matmul`] at ~2.5 GFLOP/s). Works for both the natural
+/// (`ta=false`) and transposed (`ta=true`) lhs — the lhs element is a
+/// scalar broadcast either way, only its address changes.
 ///
 /// Bit-identity: every output element still owns exactly one accumulator,
 /// advanced in ascending contraction order — the same per-element chain
-/// the eager dense loop produces; row/column blocking only changes which
+/// the eager loop produces; row/column blocking only changes which
 /// *independent* chains run interleaved.
 #[allow(clippy::too_many_arguments)]
 fn gemm_window_blocked(
@@ -895,19 +784,13 @@ fn gemm_window_blocked(
         }
         if jb < n {
             for r4 in 0..4 {
-                gemm_blocked_col_tail(window, r + r4, i0 + r4, a, b, k, n, jb, ta, a_cols);
+                gemm_row_streamed(window, r + r4, i0 + r4, a, b, k, n, jb, ta, a_cols);
             }
         }
         r += 4;
     }
     for rr in rb_end..rows {
-        let i = first_row + rr;
-        let o_row = &mut window[rr * n..(rr + 1) * n];
-        if ta {
-            gemm_row_tn(o_row, a, i, a_cols, b, k, n, true);
-        } else {
-            gemm_row_nn(o_row, &a[i * k..(i + 1) * k], b, k, n, true);
-        }
+        gemm_row_streamed(window, rr, first_row + rr, a, b, k, n, 0, ta, a_cols);
     }
 }
 
@@ -953,10 +836,15 @@ fn gemm_block_tile<const NC: usize>(
     }
 }
 
-/// The `n % 16` leftover columns of one blocked row, streamed with the
-/// same ascending-`p` per-element chains.
+/// Columns `jb..n` of output row `i` (window row `wr`), streamed with the
+/// same ascending-`p` per-element chains as the tiles: the `n % 4` column
+/// tail of a blocked row, or a whole leftover row (`jb = 0`) below the
+/// last 4-row block. The inner loop is a plain `zip` over `b`'s row, so
+/// LLVM vectorizes across `j` without reordering any float adds (a
+/// hand-unrolled 8-lane indexed body benchmarked ~4× *slower*; see
+/// `examples/gemm_bench.rs`).
 #[allow(clippy::too_many_arguments)]
-fn gemm_blocked_col_tail(
+fn gemm_row_streamed(
     window: &mut [f32],
     wr: usize,
     i: usize,
@@ -987,15 +875,7 @@ fn gemm_blocked_col_tail(
 /// accumulation chains vectorize; chains carry across p-tiles with `p`
 /// strictly ascending, which keeps every output element bit-identical to
 /// the eager `transpose()+matmul` pair.
-fn gemm_window_nt(
-    window: &mut [f32],
-    first_row: usize,
-    a: &[f32],
-    b: &[f32],
-    k: usize,
-    n: usize,
-    dense: bool,
-) {
+fn gemm_window_nt(window: &mut [f32], first_row: usize, a: &[f32], b: &[f32], k: usize, n: usize) {
     let rows = window.len() / n.max(1);
     let nb = n - n % 8;
     let mut pack = [0f32; 8 * GEMM_KC];
@@ -1014,14 +894,14 @@ fn gemm_window_nt(
             let rb = rows - rows % 4;
             let mut r = 0;
             while r < rb {
-                gemm_rows4_nt_packed(window, r, first_row, a, &pack, pb, pe, k, n, jb, dense);
+                gemm_rows4_nt_packed(window, r, first_row, a, &pack, pb, pe, k, n, jb);
                 r += 4;
             }
             for r in rb..rows {
                 let i = first_row + r;
                 let a_row = &a[i * k..(i + 1) * k];
                 let acc = &mut window[r * n + jb..r * n + jb + 8];
-                gemm_row_nt_packed(acc, a_row, &pack, pb, pe, dense);
+                gemm_row_nt_packed(acc, a_row, &pack, pb, pe);
             }
             pb = pe;
         }
@@ -1036,7 +916,6 @@ fn gemm_window_nt(
                 b,
                 k,
                 nb,
-                dense,
             );
         }
     }
@@ -1045,9 +924,7 @@ fn gemm_window_nt(
 /// Four output rows' 8-column accumulator blocks advanced through one
 /// packed p-tile together, so each packed lane load feeds four fused
 /// multiply-adds. Accumulators load from and store back to the output
-/// window — per-element chains still carry across p-tiles in ascending
-/// order, and the sparse zero-skip stays per (row, p) exactly as the
-/// single-row kernel takes it.
+/// window, so per-element chains carry across p-tiles in ascending order.
 #[allow(clippy::too_many_arguments)]
 fn gemm_rows4_nt_packed(
     window: &mut [f32],
@@ -1060,7 +937,6 @@ fn gemm_rows4_nt_packed(
     k: usize,
     n: usize,
     jb: usize,
-    dense: bool,
 ) {
     let mut acc = [[0f32; 8]; 4];
     for (r4, accr) in acc.iter_mut().enumerate() {
@@ -1070,9 +946,6 @@ fn gemm_rows4_nt_packed(
         for (r4, accr) in acc.iter_mut().enumerate() {
             // lint: allow(L004): first_row+r0+3 < m and p < k bound the index.
             let av = a[(first_row + r0 + r4) * k + p];
-            if !dense && av == 0.0 {
-                continue;
-            }
             for (o, &bv) in accr.iter_mut().zip(lane) {
                 *o += av * bv;
             }
@@ -1085,105 +958,28 @@ fn gemm_rows4_nt_packed(
 
 /// The inner lanes of [`gemm_window_nt`]: one output row's 8-column
 /// accumulator block advanced through one packed p-tile.
-fn gemm_row_nt_packed(
-    acc_slice: &mut [f32],
-    a_row: &[f32],
-    pack: &[f32],
-    pb: usize,
-    pe: usize,
-    dense: bool,
-) {
+fn gemm_row_nt_packed(acc_slice: &mut [f32], a_row: &[f32], pack: &[f32], pb: usize, pe: usize) {
     // A fixed-size register block: LLVM keeps it in one vector register
     // instead of re-loading the output slice every contraction step.
     let mut acc = [0f32; 8];
     acc.copy_from_slice(&acc_slice[..8]);
-    if dense {
-        for (p, lane) in (pb..pe).zip(pack.chunks_exact(8)) {
-            let av = a_row[p];
-            for (o, &bv) in acc.iter_mut().zip(lane) {
-                *o += av * bv;
-            }
-        }
-    } else {
-        for (p, lane) in (pb..pe).zip(pack.chunks_exact(8)) {
-            let av = a_row[p];
-            if av == 0.0 {
-                continue;
-            }
-            for (o, &bv) in acc.iter_mut().zip(lane) {
-                *o += av * bv;
-            }
+    for (p, lane) in (pb..pe).zip(pack.chunks_exact(8)) {
+        let av = a_row[p];
+        for (o, &bv) in acc.iter_mut().zip(lane) {
+            *o += av * bv;
         }
     }
     acc_slice[..8].copy_from_slice(&acc);
 }
 
 /// Leftover `a·bᵀ` columns (`n % 8`) as sequential dot products — `p`
-/// ascending per output with the same sparse zero-skip, bit-identical to
-/// the packed lanes.
-fn gemm_row_nt_tail(o_row: &mut [f32], a_row: &[f32], b: &[f32], k: usize, j0: usize, dense: bool) {
+/// ascending per output, bit-identical to the packed lanes.
+fn gemm_row_nt_tail(o_row: &mut [f32], a_row: &[f32], b: &[f32], k: usize, j0: usize) {
     for (jj, o) in (j0..).zip(o_row[j0..].iter_mut()) {
         let b_row = &b[jj * k..(jj + 1) * k];
         let mut acc = 0f32;
         for (&av, &bv) in a_row.iter().zip(b_row) {
-            if !dense && av == 0.0 {
-                continue;
-            }
             acc += av * bv;
-        }
-        *o = acc;
-    }
-}
-
-/// One output row of `aᵀ·b` (`a` stored `k×m` with `m = a_cols`): the lhs
-/// walks a strided column of `a` (one element per contraction step), the
-/// rhs streams rows through the same `zip` loop as the natural-layout
-/// kernel — no transpose is ever materialised.
-#[allow(clippy::too_many_arguments)]
-fn gemm_row_tn(
-    o_row: &mut [f32],
-    a: &[f32],
-    i: usize,
-    a_cols: usize,
-    b: &[f32],
-    k: usize,
-    n: usize,
-    dense: bool,
-) {
-    for p in 0..k {
-        let av = a[p * a_cols + i];
-        if !dense && av == 0.0 {
-            continue;
-        }
-        let b_row = &b[p * n..(p + 1) * n];
-        for (o, &bv) in o_row.iter_mut().zip(b_row) {
-            *o += av * bv;
-        }
-    }
-}
-
-/// One output row of `aᵀ·bᵀ` — both operands strided. Rare (no hot path
-/// produces it), kept for completeness with the same ordering contract.
-#[allow(clippy::too_many_arguments)]
-fn gemm_row_tt(
-    o_row: &mut [f32],
-    a: &[f32],
-    i: usize,
-    a_cols: usize,
-    b: &[f32],
-    b_cols: usize,
-    k: usize,
-    _n: usize,
-    dense: bool,
-) {
-    for (j, o) in o_row.iter_mut().enumerate() {
-        let mut acc = *o;
-        for p in 0..k {
-            let av = a[p * a_cols + i];
-            if !dense && av == 0.0 {
-                continue;
-            }
-            acc += av * b[j * b_cols + p];
         }
         *o = acc;
     }
@@ -1502,18 +1298,29 @@ mod tests {
     }
 
     /// The layout-flag GEMM must be bit-identical to materialising the
-    /// transpose and calling plain `matmul`, for every (ta, tb) combination,
-    /// for dense *and* sparse lhs (both probe branches), at 1 and 4 threads.
+    /// transpose and calling the zero-skipping reference `matmul`, for
+    /// every (ta, tb) combination (`tt` through its transpose fallback), at
+    /// 1 and 4 threads. The dense kernels never skip, so the lhs inputs
+    /// include exact `+0.0`/`-0.0` entries: a dense lhs, one at about the
+    /// measured flow-traffic density (~40% zeros, both signs), and a
+    /// mostly-zero one. The rhs carries negative values, so a skipped
+    /// `0·bv` and an added `-0.0` product would differ if any accumulator
+    /// could become `-0.0`.
     #[test]
     fn gemm_layout_flags_match_materialized_transpose_bitwise() {
-        let fill = |seed: u32, r: usize, c: usize, sparse: bool| -> Tensor {
+        // `zero_in_10` of every 10 lhs draws become a signed zero.
+        let fill = |seed: u32, r: usize, c: usize, zero_in_10: u32| -> Tensor {
             let mut state = seed;
             let data = (0..r * c)
                 .map(|_| {
                     state = state.wrapping_mul(1664525).wrapping_add(1013904223);
                     let v = (state >> 8) as f32 / (1 << 24) as f32 - 0.5;
-                    if sparse && !state.is_multiple_of(4) {
-                        0.0
+                    if (state >> 4) % 10 < zero_in_10 {
+                        if state & 1 == 0 {
+                            0.0
+                        } else {
+                            -0.0
+                        }
                     } else {
                         v
                     }
@@ -1521,67 +1328,39 @@ mod tests {
                 .collect();
             Tensor::from_vec(Shape::matrix(r, c), data).unwrap()
         };
-        // Odd dims exercise the non-multiple-of-8 lane tails; > GEMM_KC
-        // contraction would need huge inputs, so rely on the tail loop
-        // equivalence (accumulators carry across blocks regardless).
-        let (m, k, n) = (13, 37, 21);
-        for sparse in [false, true] {
-            let a_nat = fill(7, m, k, sparse); // m×k, natural lhs
-            let a_t = a_nat.transpose().unwrap(); // k×m, lhs for ta=true
-            let b_nat = fill(11, k, n, false); // k×n
-            let b_t = b_nat.transpose().unwrap(); // n×k, rhs for tb=true
-            let want = a_nat.matmul(&b_nat).unwrap();
-            for threads in [1usize, 4] {
-                let _threads = par::scoped_threads(threads);
-                let cases = [
-                    a_nat.matmul_layout(&b_nat, false, false).unwrap(),
-                    a_nat.matmul_layout(&b_t, false, true).unwrap(),
-                    a_t.matmul_layout(&b_nat, true, false).unwrap(),
-                    a_t.matmul_layout(&b_t, true, true).unwrap(),
-                ];
-                for (i, got) in cases.iter().enumerate() {
-                    let same = want
-                        .data()
-                        .iter()
-                        .zip(got.data())
-                        .all(|(w, g)| w.to_bits() == g.to_bits());
-                    assert!(
-                        same,
-                        "layout case {i} (sparse={sparse}, threads={threads}) \
-                         diverged from materialized-transpose matmul"
-                    );
+        // (13, 37, 21) covers 4-row blocks plus a leftover row, the 16/4
+        // column tiles plus a streamed tail, and the nt pack plus its
+        // n % 8 tail; k = 300 crosses a GEMM_KC tile boundary.
+        for (m, k, n) in [(13, 37, 21), (6, 300, 9)] {
+            for zero_in_10 in [0u32, 4, 8] {
+                let a_nat = fill(7, m, k, zero_in_10); // m×k, natural lhs
+                let a_t = a_nat.transpose().unwrap(); // k×m, lhs for ta=true
+                let b_nat = fill(11, k, n, 0); // k×n
+                let b_t = b_nat.transpose().unwrap(); // n×k, rhs for tb=true
+                let want = a_nat.matmul(&b_nat).unwrap();
+                for threads in [1usize, 4] {
+                    let _threads = par::scoped_threads(threads);
+                    let cases = [
+                        a_nat.matmul_layout(&b_nat, false, false).unwrap(),
+                        a_nat.matmul_layout(&b_t, false, true).unwrap(),
+                        a_t.matmul_layout(&b_nat, true, false).unwrap(),
+                        a_t.matmul_layout(&b_t, true, true).unwrap(),
+                    ];
+                    for (i, got) in cases.iter().enumerate() {
+                        assert_eq!(got.shape(), want.shape());
+                        let same = want
+                            .data()
+                            .iter()
+                            .zip(got.data())
+                            .all(|(w, g)| w.to_bits() == g.to_bits());
+                        assert!(
+                            same,
+                            "layout case {i} ({m}x{k}x{n}, {zero_in_10}/10 zeros, \
+                             threads={threads}) diverged from the skipping reference"
+                        );
+                    }
                 }
             }
-        }
-    }
-
-    /// `lhs_is_dense_t` (virtual-transpose density probe) must agree with
-    /// materialising the transpose and probing it, because the kernel branch
-    /// it picks must match what eager execution would have picked.
-    #[test]
-    fn transposed_probe_matches_materialized_probe() {
-        let fill = |seed: u32, zero_every: u32| -> Tensor {
-            let mut state = seed;
-            let data = (0..40 * 33)
-                .map(|_| {
-                    state = state.wrapping_mul(1664525).wrapping_add(1013904223);
-                    if state.is_multiple_of(zero_every) {
-                        0.0
-                    } else {
-                        (state >> 8) as f32 / (1 << 24) as f32
-                    }
-                })
-                .collect();
-            Tensor::from_vec(Shape::matrix(40, 33), data).unwrap()
-        };
-        for zero_every in [2u32, 3, 100] {
-            let a = fill(zero_every, zero_every);
-            assert_eq!(
-                lhs_is_dense_t(a.data(), 40, 33),
-                lhs_is_dense(a.transpose().unwrap().data()),
-                "virtual and materialized transpose probes disagree \
-                 (zero_every={zero_every})"
-            );
         }
     }
 }
