@@ -12,7 +12,7 @@
 //! A failpoint does nothing until a [`FaultPlan`] is installed — either
 //! programmatically ([`install`] / [`scoped`]) or through the
 //! `STGNN_FAULTS` environment variable (read once, lazily, on the first
-//! check). Each plan entry names a site, an action to inject
+//! check or install, so a programmatic plan always replaces it). Each plan entry names a site, an action to inject
 //! ([`FaultAction`]: an `io::Error`, a panic, or a delay) and a
 //! deterministic [`Trigger`] (fire on exactly the Nth hit, the first N
 //! hits, every hit, or with a *seeded* probability). The same plan against
@@ -274,6 +274,24 @@ fn lock_registry() -> MutexGuard<'static, Registry> {
 /// Installs `plan`, replacing any previous one and resetting all hit/fired
 /// counters. An empty plan disables every failpoint.
 pub fn install(plan: FaultPlan) {
+    // Read `STGNN_FAULTS` first: read later, by the first check, it would
+    // replace this plan.
+    install_env_plan_once();
+    replace_plan(plan);
+}
+
+fn install_env_plan_once() {
+    ENV_INIT.call_once(|| {
+        if let Ok(s) = std::env::var("STGNN_FAULTS") {
+            match FaultPlan::parse(&s) {
+                Ok(plan) => replace_plan(plan),
+                Err(e) => eprintln!("[stgnn-faults] ignoring STGNN_FAULTS: {e}"),
+            }
+        }
+    });
+}
+
+fn replace_plan(plan: FaultPlan) {
     let mut reg = lock_registry();
     reg.sites.clear();
     for (site, spec) in plan.entries {
@@ -310,14 +328,7 @@ pub fn active() -> bool {
     }
     #[cfg(not(stgnn_faults_off))]
     {
-        ENV_INIT.call_once(|| {
-            if let Ok(s) = std::env::var("STGNN_FAULTS") {
-                match FaultPlan::parse(&s) {
-                    Ok(plan) => install(plan),
-                    Err(e) => eprintln!("[stgnn-faults] ignoring STGNN_FAULTS: {e}"),
-                }
-            }
-        });
+        install_env_plan_once();
         ACTIVE.load(Ordering::Acquire)
     }
 }

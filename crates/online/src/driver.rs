@@ -480,6 +480,10 @@ mod tests {
             batch_hist: Vec::new(),
             latency_p50_us: 0,
             latency_p99_us: 0,
+            queue_wait_p50_us: 0,
+            queue_wait_p99_us: 0,
+            forward_p50_us: 0,
+            forward_p99_us: 0,
         }
     }
 

@@ -1,14 +1,19 @@
 //! Micro-batching request queue and worker pool.
 //!
-//! Concurrent queries for the same `(model, slot)` are coalesced: one worker
-//! takes the first queued request, lingers briefly so concurrent arrivals
-//! can pile in, drains every matching request, and serves them all from a
-//! single `predict_horizon` forward pass. The result lands in the
-//! [`SlotCache`], so stragglers (and every later query until the slot rolls
-//! over) skip the forward pass entirely.
+//! A query whose `(model, version, graph epoch, slot)` key is already in
+//! the [`SlotCache`] is answered inside [`WorkerPool::submit`], on the
+//! caller's thread: it never enters the queue or reaches a worker.
 //!
-//! Two mechanisms bound the work per `(model, version, slot)` key to **one
-//! forward pass total**:
+//! A miss is queued. A worker takes the first queued request at once, drains
+//! every queued request for the same `(model, slot)`, and serves them all
+//! from a single `predict_horizon` forward pass whose result lands in the
+//! cache. Workers do not linger before draining: same-key queries that
+//! arrive while that forward pass runs either wait in the queue until a
+//! worker drains them, or wait in the in-flight set below, and both then
+//! read the cache.
+//!
+//! Two mechanisms bound the work per `(model, version, graph epoch, slot)`
+//! key to **one forward pass total**:
 //!
 //! 1. every batch checks the cache before computing, and
 //! 2. an in-flight set (mutex + condvar) makes concurrent workers with the
@@ -43,6 +48,8 @@ pub type BatchReply = Result<CachedPrediction, ServeError>;
 pub struct PredictRequest {
     pub model: String,
     pub slot: usize,
+    /// When the request entered the queue; its queue wait ends at worker
+    /// pickup.
     pub enqueued: Instant,
     respond: mpsc::Sender<BatchReply>,
 }
@@ -52,9 +59,6 @@ pub struct PredictRequest {
 pub struct PoolConfig {
     /// Worker threads (each owns its materialised models).
     pub workers: usize,
-    /// How long a worker waits after picking up a request before draining
-    /// the queue, so concurrent arrivals coalesce into one batch.
-    pub batch_linger: Duration,
     /// Upper bound on requests served by one forward pass.
     pub max_batch: usize,
     /// Test hook: artificial delay inserted before every forward pass, to
@@ -66,7 +70,6 @@ impl Default for PoolConfig {
     fn default() -> Self {
         PoolConfig {
             workers: 2,
-            batch_linger: Duration::from_millis(2),
             max_batch: 64,
             forward_delay: None,
         }
@@ -137,17 +140,34 @@ impl WorkerPool {
         WorkerPool { shared, handles }
     }
 
-    /// Enqueues a query and returns the channel the reply will arrive on.
-    /// The caller decides how long to wait (and what to do on deadline).
+    /// Answers a cached query at once, or enqueues it, and returns the
+    /// channel the reply will arrive on. The caller decides how long to wait
+    /// (and what to do on deadline).
     pub fn submit(&self, model: impl Into<String>, slot: usize) -> mpsc::Receiver<BatchReply> {
         let (tx, rx) = mpsc::channel();
+        let model = model.into();
         self.shared.metrics.inc_requests();
+        let shutdown = self.shared.queue.lock().shutdown;
+        if shutdown {
+            let _ = tx.send(Err(ServeError::Shutdown));
+            return rx;
+        }
+        // The registry, checkpoint and cache locks are taken one after the
+        // other inside `cached`, never nested and never under the queue
+        // lock.
+        if let Some(hit) = self.shared.cached(&model, slot) {
+            self.shared.metrics.inc_cache_hits(1);
+            let _ = tx.send(Ok(hit));
+            return rx;
+        }
         let req = PredictRequest {
-            model: model.into(),
+            model,
             slot,
             enqueued: Instant::now(),
             respond: tx,
         };
+        // Shutdown may have begun since the check above; re-check under the
+        // lock so no request is queued behind exiting workers.
         let mut q = self.shared.queue.lock();
         if q.shutdown {
             // sound: allow(S002): UNBOUNDED-SEND-NONBLOCKING — respond is an
@@ -174,6 +194,20 @@ impl WorkerPool {
 impl Drop for WorkerPool {
     fn drop(&mut self) {
         self.shutdown();
+    }
+}
+
+impl Shared {
+    /// The cached prediction for `slot` under `model`'s serving checkpoint,
+    /// if one has been computed.
+    fn cached(&self, model: &str, slot: usize) -> Option<CachedPrediction> {
+        let checkpoint = self.registry.get(model)?.checkpoint();
+        self.cache.get(&(
+            model.to_string(),
+            checkpoint.version,
+            checkpoint.graph_epoch,
+            slot,
+        ))
     }
 }
 
@@ -225,10 +259,6 @@ fn worker_loop(shared: &Shared) {
                 shared.queue_cv.wait(&mut q);
             }
         };
-        // Linger so concurrent arrivals for the same key can join the batch.
-        if !shared.config.batch_linger.is_zero() {
-            thread::sleep(shared.config.batch_linger);
-        }
         let (model, slot) = (first.model.clone(), first.slot);
         let mut batch = vec![first];
         {
@@ -242,6 +272,12 @@ fn worker_loop(shared: &Shared) {
                 }
             }
             q.deque = rest;
+        }
+        let picked_up = Instant::now();
+        for req in &batch {
+            shared
+                .metrics
+                .record_queue_wait(picked_up.saturating_duration_since(req.enqueued));
         }
         process_batch(shared, &mut local, batch);
     }
@@ -411,6 +447,7 @@ fn process_batch(
     // validation above didn't anticipate) must not take the worker thread
     // down with the whole queue behind it. Convert it to an error reply and
     // drop this worker's model copy — it may be mid-mutation.
+    let forward_started = Instant::now();
     let forward = catch_unwind(AssertUnwindSafe(|| {
         // Inside the catch_unwind on purpose: an injected panic here takes
         // the same containment path a real forward-pass panic would.
@@ -428,6 +465,9 @@ fn process_batch(
             None => (lm.model.predict_horizon(&shared.dataset, slot), false),
         }
     }));
+    shared
+        .metrics
+        .record_forward_time(forward_started.elapsed());
     let predictions: CachedPrediction = match forward {
         Ok((p, drop_plan)) => {
             if drop_plan {
@@ -512,10 +552,12 @@ mod tests {
     #[test]
     fn same_slot_requests_share_one_forward_pass() {
         let data = dataset();
+        // The delay holds the first forward pass in flight while the other
+        // eleven arrive, so they coalesce in the queue or the in-flight wait.
         let (pool, _, metrics, _) = pool_with(
             &data,
             PoolConfig {
-                batch_linger: Duration::from_millis(20),
+                forward_delay: Some(Duration::from_millis(50)),
                 ..PoolConfig::default()
             },
         );
@@ -543,6 +585,42 @@ mod tests {
         let s = metrics.snapshot();
         assert_eq!(s.forward_passes, 1);
         assert!(s.cache_hits >= 2, "snapshot: {s:?}");
+    }
+
+    /// A cached slot is answered inside `submit`, even while the lone
+    /// worker is busy with another slot's forward pass; after shutdown the
+    /// same cached slot is refused.
+    #[test]
+    fn cache_hit_is_answered_in_submit_while_the_worker_is_busy() {
+        let data = dataset();
+        let (mut pool, _, metrics, _) = pool_with(
+            &data,
+            PoolConfig {
+                workers: 1,
+                forward_delay: Some(Duration::from_millis(300)),
+                ..PoolConfig::default()
+            },
+        );
+        let slots = data.slots(Split::Test);
+        let (a, b) = (slots[0], slots[1]);
+        let primed = pool.submit("stgnn", a).recv().unwrap().unwrap();
+        let busy = pool.submit("stgnn", b);
+
+        let hit = pool.submit("stgnn", a).try_recv();
+        assert!(
+            matches!(&hit, Ok(Ok(p)) if p[0] == primed[0]),
+            "a cached slot must be answered before submit returns: {hit:?}"
+        );
+        let s = metrics.snapshot();
+        assert_eq!(s.requests, 3, "snapshot: {s:?}");
+        assert_eq!(s.cache_hits, 1, "snapshot: {s:?}");
+
+        busy.recv().unwrap().unwrap();
+        assert_eq!(metrics.snapshot().forward_passes, 2);
+
+        pool.shutdown();
+        let reply = pool.submit("stgnn", a).recv().unwrap();
+        assert!(matches!(reply, Err(ServeError::Shutdown)), "{reply:?}");
     }
 
     #[test]

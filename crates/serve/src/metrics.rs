@@ -41,6 +41,11 @@ pub struct ServeMetrics {
     batch_hist: [AtomicU64; BATCH_BUCKETS.len() + 1],
     /// End-to-end request latency histogram (power-of-two µs buckets).
     latency_hist: [AtomicU64; LATENCY_BUCKETS],
+    /// Queue wait of each queued request, enqueue to worker pickup
+    /// (power-of-two µs buckets). Cache hits never queue.
+    queue_wait_hist: [AtomicU64; LATENCY_BUCKETS],
+    /// Duration of each executed forward pass (power-of-two µs buckets).
+    forward_hist: [AtomicU64; LATENCY_BUCKETS],
 }
 
 impl ServeMetrics {
@@ -112,15 +117,24 @@ impl ServeMetrics {
 
     /// Records one request's end-to-end latency.
     pub fn record_latency(&self, latency: Duration) {
-        let us = latency.as_micros().max(1) as u64;
-        let idx = (63 - us.leading_zeros() as usize).min(LATENCY_BUCKETS - 1);
-        // lint: allow(L004): idx is clamped to LATENCY_BUCKETS - 1 above.
-        self.latency_hist[idx].fetch_add(1, Relaxed);
+        record_us(&self.latency_hist, latency);
+    }
+
+    /// Records how long one request waited in the queue for a worker.
+    pub fn record_queue_wait(&self, wait: Duration) {
+        record_us(&self.queue_wait_hist, wait);
+    }
+
+    /// Records how long one forward pass took.
+    pub fn record_forward_time(&self, elapsed: Duration) {
+        record_us(&self.forward_hist, elapsed);
     }
 
     /// A consistent-enough point-in-time copy of every counter.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let latency: Vec<u64> = self.latency_hist.iter().map(|c| c.load(Relaxed)).collect();
+        let (latency_p50_us, latency_p99_us) = p50_p99(&self.latency_hist);
+        let (queue_wait_p50_us, queue_wait_p99_us) = p50_p99(&self.queue_wait_hist);
+        let (forward_p50_us, forward_p99_us) = p50_p99(&self.forward_hist);
         MetricsSnapshot {
             requests: self.requests.load(Relaxed),
             cache_hits: self.cache_hits.load(Relaxed),
@@ -132,10 +146,28 @@ impl ServeMetrics {
             shed: self.shed.load(Relaxed),
             queue_depth: self.queue_depth.load(Relaxed),
             batch_hist: self.batch_hist.iter().map(|c| c.load(Relaxed)).collect(),
-            latency_p50_us: percentile(&latency, 0.50),
-            latency_p99_us: percentile(&latency, 0.99),
+            latency_p50_us,
+            latency_p99_us,
+            queue_wait_p50_us,
+            queue_wait_p99_us,
+            forward_p50_us,
+            forward_p99_us,
         }
     }
+}
+
+/// Adds one duration to a power-of-two microsecond histogram.
+fn record_us(hist: &[AtomicU64; LATENCY_BUCKETS], d: Duration) {
+    let us = d.as_micros().max(1) as u64;
+    let idx = (63 - us.leading_zeros() as usize).min(LATENCY_BUCKETS - 1);
+    // lint: allow(L004): idx is clamped to LATENCY_BUCKETS - 1 above.
+    hist[idx].fetch_add(1, Relaxed);
+}
+
+/// The p50 and p99 estimates of a power-of-two microsecond histogram.
+fn p50_p99(hist: &[AtomicU64; LATENCY_BUCKETS]) -> (u64, u64) {
+    let counts: Vec<u64> = hist.iter().map(|c| c.load(Relaxed)).collect();
+    (percentile(&counts, 0.50), percentile(&counts, 0.99))
 }
 
 /// Upper-bound estimate of the q-quantile from a power-of-two histogram:
@@ -178,6 +210,15 @@ pub struct MetricsSnapshot {
     pub latency_p50_us: u64,
     /// Estimated p99 end-to-end latency (upper bucket edge), microseconds.
     pub latency_p99_us: u64,
+    /// Estimated p50 queue wait (enqueue to worker pickup) of queued
+    /// requests (upper bucket edge), microseconds.
+    pub queue_wait_p50_us: u64,
+    /// Estimated p99 queue wait of queued requests, microseconds.
+    pub queue_wait_p99_us: u64,
+    /// Estimated p50 forward-pass time (upper bucket edge), microseconds.
+    pub forward_p50_us: u64,
+    /// Estimated p99 forward-pass time, microseconds.
+    pub forward_p99_us: u64,
 }
 
 impl MetricsSnapshot {
@@ -230,6 +271,10 @@ impl MetricsSnapshot {
         }
         push("serve_latency_p50_us", self.latency_p50_us);
         push("serve_latency_p99_us", self.latency_p99_us);
+        push("serve_queue_wait_p50_us", self.queue_wait_p50_us);
+        push("serve_queue_wait_p99_us", self.queue_wait_p99_us);
+        push("serve_forward_p50_us", self.forward_p50_us);
+        push("serve_forward_p99_us", self.forward_p99_us);
         out.push_str(&format!(
             "serve_cache_hit_rate {:.4}\n",
             self.cache_hit_rate()
@@ -310,6 +355,31 @@ mod tests {
             "serve_batch_size_le_inf 0",
             "serve_latency_p50_us",
             "serve_cache_hit_rate",
+        ] {
+            assert!(text.contains(key), "missing {key} in:\n{text}");
+        }
+    }
+
+    #[test]
+    fn queue_wait_and_forward_histograms_reach_snapshot_and_line_protocol() {
+        let m = ServeMetrics::new();
+        for _ in 0..99 {
+            m.record_queue_wait(Duration::from_micros(10)); // bucket edge 16
+            m.record_forward_time(Duration::from_micros(1500)); // bucket edge 2048
+        }
+        m.record_queue_wait(Duration::from_millis(50));
+        m.record_forward_time(Duration::from_millis(50));
+        let s = m.snapshot();
+        assert_eq!((s.queue_wait_p50_us, s.queue_wait_p99_us), (16, 16));
+        assert_eq!((s.forward_p50_us, s.forward_p99_us), (2048, 2048));
+        // The two histograms are their own: neither feeds end-to-end latency.
+        assert_eq!(s.latency_p50_us, 0);
+        let text = s.to_line_protocol();
+        for key in [
+            "serve_queue_wait_p50_us 16",
+            "serve_queue_wait_p99_us 16",
+            "serve_forward_p50_us 2048",
+            "serve_forward_p99_us 2048",
         ] {
             assert!(text.contains(key), "missing {key} in:\n{text}");
         }

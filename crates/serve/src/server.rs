@@ -37,8 +37,6 @@ pub struct ServeConfig {
     pub bind: String,
     /// Worker threads in the batching pool.
     pub workers: usize,
-    /// Coalescing window for concurrent same-slot queries.
-    pub batch_linger: Duration,
     /// Max requests served by one forward pass.
     pub max_batch: usize,
     /// Slot-cache capacity (distinct `(model, version, slot)` entries).
@@ -62,7 +60,6 @@ impl Default for ServeConfig {
         ServeConfig {
             bind: "127.0.0.1:0".into(),
             workers: 2,
-            batch_linger: Duration::from_millis(2),
             max_batch: 64,
             cache_capacity: 256,
             default_deadline: Duration::from_millis(250),
@@ -113,7 +110,6 @@ impl Server {
             Arc::clone(&dataset),
             PoolConfig {
                 workers: config.workers,
-                batch_linger: config.batch_linger,
                 max_batch: config.max_batch,
                 forward_delay: config.forward_delay,
             },

@@ -8,7 +8,6 @@
 
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
 
 use stgnn_djd::data::dataset::{BikeDataset, DatasetConfig, Split};
 use stgnn_djd::data::synthetic::{CityConfig, SyntheticCity};
@@ -42,13 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 3. Boot the server on an ephemeral port and register the model.
-    let mut server = Server::start(
-        Arc::clone(&data),
-        ServeConfig {
-            batch_linger: Duration::from_millis(10),
-            ..ServeConfig::default()
-        },
-    )?;
+    let mut server = Server::start(Arc::clone(&data), ServeConfig::default())?;
     let spec = ModelSpec::new(config.clone(), data.n_stations());
     server.registry().register("stgnn", spec, checkpoint)?;
     let addr = server.addr();

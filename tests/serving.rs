@@ -41,11 +41,12 @@ fn concurrent_queries_batch_into_one_forward_pass_and_swap_changes_them() {
     let mut server = Server::start(
         Arc::clone(&data),
         ServeConfig {
-            // A long linger so 16 client threads racing through the TCP
-            // stack reliably land inside one coalescing window (the
-            // exactly-once machinery makes the assertion hold regardless —
-            // the linger just makes real batches, not only cache hits).
-            batch_linger: Duration::from_millis(50),
+            // Hold the first forward pass in flight so 16 client threads
+            // racing through the TCP stack reliably arrive while it runs and
+            // coalesce in the queue or the in-flight wait (the exactly-once
+            // machinery makes the assertion hold regardless — the delay
+            // just makes real batches, not only cache hits).
+            forward_delay: Some(Duration::from_millis(200)),
             default_deadline: Duration::from_secs(30),
             ..ServeConfig::default()
         },
